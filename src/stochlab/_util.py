@@ -29,11 +29,6 @@ def pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return a[0]
 
 
-def pairwise_mean(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    a = np.asarray(a)
-    return pairwise_sum(a, axis=axis) / a.shape[axis]
-
-
 def mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
     """Deterministic Monte Carlo mean and standard error of a 1-d sample array."""
     samples = np.asarray(samples, dtype=float)
@@ -43,6 +38,19 @@ def mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
         return m, float("inf")
     var = float(pairwise_sum((samples - m) ** 2) / (n - 1))
     return m, float(np.sqrt(var / n))
+
+
+def max_y_gap(ys: np.ndarray, samples: np.ndarray) -> tuple[float, float]:
+    """Weak gap max_Y |E[Y * samples]| over the columns Y of ys, with its stderr.
+
+    Ties in |E| go to the later column.
+    """
+    best = (0.0, 0.0)
+    for c in range(ys.shape[1]):
+        mval, se = mean_and_stderr(ys[:, c] * samples)
+        if abs(mval) >= best[0]:
+            best = (abs(mval), se)
+    return best
 
 
 def map_chunks(fn, n_items: int, workers: int = 1, chunk: int | None = None) -> list:

@@ -24,16 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import gauss_on_intervals, map_chunks, mean_and_stderr, pairwise_sum
-from .errors import (CFLError, ConfigurationError, RangeEscapeError,
-                     SolverBlowupError)
-from .processes import TestFunction
-from .transport import TorusGrid, _energy_of, _pair_theta, _test_variable_matrix
+from ._util import gauss_on_intervals, max_y_gap, pairwise_sum
+from .errors import ConfigurationError, RangeEscapeError
+from .processes import TestFunction, spectral_prolong
+from .transport import (TorusGrid, _explicit_march, _initial_state, _ladder_draws,
+                        _ladder_grids, _ladder_map, _check_monitors, translation_ensembles)
 from .mollify import bump, bump_derivative
-from .wiener import (CouplingSchedule, TimeGrid, WienerPath,
-                     aggregate_increments, increment_chunk, initial_chunk)
-
-CFL_LIMIT = 0.9
+from .wiener import CouplingSchedule, TimeGrid, WienerPath
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +200,14 @@ class KineticProblem:
     def window(self) -> tuple[float, float]:
         return (self.xi_min, self.xi_max)
 
+    def max_wave_speed(self, grid: TorusGrid) -> float:
+        """max |F'| over the kinetic window (the grid plays no part)."""
+        xi = np.linspace(self.xi_min, self.xi_max, 513)
+        return float(np.max(np.abs(self.flux.Fp(xi))))
+
     @property
     def kappa(self) -> np.ndarray:
-        width = (self.xi_max - self.xi_min) / self.kappa_levels
-        return self.xi_min + (np.arange(self.kappa_levels) + 0.5) * width
+        return self.xi_min + (np.arange(self.kappa_levels) + 0.5) * self.kappa_width
 
     @property
     def kappa_width(self) -> float:
@@ -229,21 +230,6 @@ def kinetic_window(u0_values: np.ndarray, noise_bound: float, horizon: float,
     spread = max(hi - lo, 1.0)
     pad = margin_factor * spread + 4.0 * noise_bound * np.sqrt(max(horizon, 0.0))
     return lo - pad, hi + pad
-
-
-def claw_cfl_number(problem: KineticProblem, grid: TorusGrid, dt: float) -> float:
-    xi = np.linspace(problem.xi_min, problem.xi_max, 513)
-    speed = float(np.max(np.abs(problem.flux.Fp(xi))))
-    return speed * dt / grid.dx + 2.0 * problem.epsilon * dt / grid.dx ** 2
-
-
-def claw_steps_for_cfl(problem: KineticProblem, grid: TorusGrid, horizon: float,
-                       target: float = 0.45, multiple_of: int = 1) -> int:
-    xi = np.linspace(problem.xi_min, problem.xi_max, 513)
-    speed = float(np.max(np.abs(problem.flux.Fp(xi))))
-    rate = speed / grid.dx + 2.0 * problem.epsilon / grid.dx ** 2
-    steps = int(np.ceil(horizon * rate / target))
-    return max(multiple_of, ((steps + multiple_of - 1) // multiple_of) * multiple_of)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +328,7 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
                 measure_detail: bool = False,
                 pairings: dict[str, tuple[np.ndarray, Callable]] | None = None,
                 measure_pairing: tuple[np.ndarray, Callable] | None = None):
-    """March the scheme from u0 of shape (..., cells).
+    """Engquist-Osher + viscosity + Euler-Maruyama noise; see transport._explicit_march.
 
     measure_detail keeps the full (cells, levels)+(cells, bins) cumulative
     deposits at snapshots (single-path use); pairings maps a name to
@@ -352,52 +338,32 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
     """
     dt, dx = tgrid.dt, grid.dx
     nt = tgrid.steps
-    if claw_cfl_number(problem, grid, dt) > CFL_LIMIT:
-        raise CFLError(f"kinetic CFL exceeds {CFL_LIMIT}")
     flux, sigma, eps = problem.flux, problem.sigma, problem.epsilon
     kappa, dkappa = problem.kappa, problem.kappa_width
     xi_lo, xi_hi = problem.window
     edges = problem.xi_edges
-    u = np.array(u0, dtype=float, copy=True)
-    lead = u.shape[:-1]
-    if np.min(u) < xi_lo or np.max(u) > xi_hi:
+    lead = np.shape(u0)[:-1]
+    measuring = measure_detail or measure_pairing is not None
+    if np.min(u0) < xi_lo or np.max(u0) > xi_hi:
         raise RangeEscapeError("initial datum outside the kinetic window")
 
-    out: dict = {}
-    energy = np.empty(lead + (nt + 1,))
-    energy[..., 0] = _energy_of(u, dx)
-    if store_full:
-        full = np.empty((nt + 1,) + u.shape)
-        full[0] = u
-    snap_pos = {}
-    if snap_idx is not None:
-        snap_pos = {int(j): s for s, j in enumerate(snap_idx)}
-        snaps = np.empty(lead + (len(snap_idx), grid.cells))
-        if 0 in snap_pos:
-            snaps[..., 0, :] = u
     if measure_detail:
         if lead:
             raise ConfigurationError("detailed measures are single-path only")
+        snap_pos = {int(j): s for s, j in enumerate(snap_idx)}
         kappa_run = np.zeros((grid.cells, problem.kappa_levels))
         parab_run = np.zeros((grid.cells, problem.n_xi))
         kappa_cum = np.zeros((len(snap_idx), grid.cells, problem.kappa_levels))
         parab_cum = np.zeros((len(snap_idx), grid.cells, problem.n_xi))
-        if 0 in snap_pos:
-            kappa_cum[0] = kappa_run
-            parab_cum[0] = parab_run
     step_mass = np.zeros(lead + (nt,))
     clamped = 0.0
-    traces = {}
-    for name, (psi_p, fn) in (pairings or {}).items():
-        probe = fn(u)
-        kk = probe.shape[-1] if probe.ndim > u.ndim else 1
-        traces[name] = np.empty(lead + (nt + 1, kk))
-        traces[name][..., 0, :] = _pair_theta(psi_p, probe, u.ndim, dx)
+    deposits = None
     if measure_pairing is not None:
         psi_m, zeta_prime = measure_pairing
         m_trace = np.zeros(lead + (nt + 1,))
 
-    for j in range(nt):
+    def step(j, u):
+        nonlocal clamped, deposits
         left = u
         right = np.roll(u, -1, axis=-1)
         f_iface = flux.interface(left, right)
@@ -405,8 +371,7 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
         u_adv = u - adv
         # Kruzkov bookkeeping on the flux sub-step: the level-kappa defect
         # density is half the clipped residual of the discrete entropy balance
-        deposits = None
-        if measure_detail or measure_pairing is not None:
+        if measuring:
             deposits = np.empty(lead + (grid.cells, problem.kappa_levels))
             for l, kap in enumerate(kappa):
                 h_iface = _entropy_flux(flux, kap, left, right)
@@ -418,57 +383,47 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
         u_new = u_adv + eps * dt * lap
         if dW is not None and sigma is not None:
             u_new = u_new + np.einsum("...xk,...k->...x", sigma(u), dW[..., j, :])
-        if not np.all(np.isfinite(u_new)):
-            raise SolverBlowupError(j)
+        return u_new
+
+    # the step's parabolic deposits and all bookkeeping, once u_new is known
+    # to be finite and inside the window
+    def after_step(j, u, u_new):
+        nonlocal kappa_run
         if np.min(u_new) < xi_lo or np.max(u_new) > xi_hi:
             raise RangeEscapeError(
                 f"solution escaped the kinetic window [{xi_lo}, {xi_hi}] at step {j}")
+        if not measuring:
+            return
         parab = None
-        if eps > 0.0 and (measure_detail or measure_pairing is not None):
+        if eps > 0.0:
             grad = (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * dx)
             parab = eps * grad * grad * (dt * dx)
-        if deposits is not None:
-            step_mass[..., j] = deposits.sum(axis=(-1, -2)) if lead else deposits.sum()
-            if parab is not None:
-                step_mass[..., j] += parab.sum(axis=-1) if lead else parab.sum()
+        step_mass[..., j] = deposits.sum(axis=(-1, -2)) if lead else deposits.sum()
+        if parab is not None:
+            step_mass[..., j] += parab.sum(axis=-1) if lead else parab.sum()
         if measure_detail:
             kappa_run += deposits
             if parab is not None:
                 bins = np.clip(((u - xi_lo) / (edges[1] - edges[0])).astype(int),
                                0, problem.n_xi - 1)
                 np.add.at(parab_run, (np.arange(grid.cells), bins), parab)
+            if (j + 1) in snap_pos:
+                kappa_cum[snap_pos[j + 1]] = kappa_run
+                parab_cum[snap_pos[j + 1]] = parab_run
         if measure_pairing is not None:
             m_trace[..., j + 1] = m_trace[..., j] + np.einsum(
                 "...xl,x,l->...", deposits, psi_m, zeta_prime(kappa))
             if parab is not None:
                 m_trace[..., j + 1] += np.einsum("...x,x,...x->...", parab, psi_m,
                                                  zeta_prime(u))
-        u = u_new
-        energy[..., j + 1] = _energy_of(u, dx)
-        if store_full:
-            full[j + 1] = u
-        if snap_idx is not None and (j + 1) in snap_pos:
-            snaps[..., snap_pos[j + 1], :] = u
-            if measure_detail:
-                kappa_cum[snap_pos[j + 1]] = kappa_run
-                parab_cum[snap_pos[j + 1]] = parab_run
-        for name, (psi_p, fn) in (pairings or {}).items():
-            probe = fn(u)
-            traces[name][..., j + 1, :] = _pair_theta(psi_p, probe, u.ndim, dx)
 
-    out["final"] = u
-    out["energy"] = energy
+    out = _explicit_march(problem, grid, tgrid, u0, step, pairings, store_full, snap_idx,
+                          after_step)
     out["step_mass"] = step_mass
-    if store_full:
-        out["full"] = full
-    if snap_idx is not None:
-        out["snapshots"] = snaps
     if measure_detail:
         out["measure"] = KineticMeasure(kappa, problem.xi_centers,
                                         np.asarray(snap_idx), kappa_cum, parab_cum,
                                         step_mass, clamped)
-    if pairings:
-        out["traces"] = traces
     if measure_pairing is not None:
         out["m_trace"] = m_trace
     return out
@@ -651,23 +606,15 @@ def kinetic_stability_experiment(problems: dict[int, KineticProblem],
     n_values = sorted(problems)
     phi.validate_support(limit.window)
     worst = problems[n_values[0]]
-    nt = claw_steps_for_cfl(worst, grid, horizon, multiple_of=16)
-    tgrid = TimeGrid(horizon, nt)
-    fine_grid = grid.refine(refine)
-    fine_tgrid = TimeGrid(horizon, nt * refine)
-    if claw_cfl_number(limit, fine_grid, fine_tgrid.dt) > CFL_LIMIT:
-        raise CFLError("limit problem violates CFL on the reference mesh")
+    tgrid, fine_grid, fine_tgrid = _ladder_grids(worst, limit, grid, horizon, refine,
+                                                 multiple_of=16)
+    nt = tgrid.steps
     k = limit.k
     report = KineticStabilityReport(tgrid=tgrid)
 
     monitor_rows = {n: _coefficient_distances(problems[n], limit) for n in n_values}
-    for key in ("F", "Fp", "sigma", "sigma_p"):
-        vals = [monitor_rows[n][key] for n in n_values]
-        if any(vals[i + 1] > vals[i] + 1e-12 for i in range(len(vals) - 1)):
-            report.monitors_ok = False
-            report.notes.append(f"kinetic hypothesis monitor {key} not improving")
+    _check_monitors(report, monitor_rows, n_values)
 
-    from .processes import spectral_prolong
     psi_fine = spectral_prolong(phi.psi.values, refine)
 
     # chi weak-star duals: time windows against the layer-cake pairing
@@ -678,33 +625,19 @@ def kinetic_stability_experiment(problems: dict[int, KineticProblem],
 
     def chunk(lo, hi):
         m = hi - lo
-        dWf = increment_chunk(fine_tgrid, k, seed, lo, hi)
-        dW = np.stack([aggregate_increments(dWf[i], refine) for i in range(m)])
-        if schedule.kind != "identity":
-            dBf = increment_chunk(fine_tgrid, k, seed, lo, hi, stream=1)
-            dB = np.stack([aggregate_increments(dBf[i], refine) for i in range(m)])
-        omega0, _ = initial_chunk(seed, lo, hi)
-        u0f = np.broadcast_to(np.asarray(limit.u0(fine_grid.x), dtype=float)
-                              * np.ones(fine_grid.cells), (m, fine_grid.cells))
-        ref = _march_claw(limit, fine_grid, fine_tgrid, u0f, dWf,
+        dWf, coupled, _, _, ys = _ladder_draws(fine_tgrid, k, seed, lo, hi, refine, schedule)
+        ref = _march_claw(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, m), dWf,
                           pairings={"ito": (psi_fine, ito_pairing_fn(limit, phi)),
                                     "chi": (psi_fine, chi_fn)})
         ref_ito = np.sum(ref["traces"]["ito"][:, :-1, :] * dWf, axis=(1, 2))
         # chi weak-star pairing at the coarse left nodes (shared path times)
         ref_chi = ref["traces"]["chi"][:, :-1:refine, 0]
 
-        w_final = dWf.sum(axis=1)[:, 0]
-        w_half = dWf[:, : fine_tgrid.steps // 2, 0].sum(axis=1)
-        ys = _test_variable_matrix(omega0, w_final, w_half, horizon)
-
         out = {}
         for n in n_values:
             pn = problems[n]
-            a = schedule.coefficient(n)
-            dWn = dW if a == 0.0 else (dW + a * dB) / np.sqrt(1.0 + a * a)
-            u0n = np.broadcast_to(np.asarray(pn.u0(grid.x), dtype=float)
-                                  * np.ones(grid.cells), (m, grid.cells))
-            res = _march_claw(pn, grid, tgrid, u0n, dWn,
+            dWn = coupled(n)
+            res = _march_claw(pn, grid, tgrid, _initial_state(pn, grid, m), dWn,
                               pairings={"ito": (phi.psi.values, ito_pairing_fn(pn, phi)),
                                         "chi": (phi.psi.values, chi_fn)},
                               measure_pairing=(phi.psi.values, phi.zeta_prime))
@@ -717,35 +650,22 @@ def kinetic_stability_experiment(problems: dict[int, KineticProblem],
                           ys=ys, trace=res["traces"]["ito"])
         return out
 
-    chunks = map_chunks(chunk, replicas, workers,
-                        chunk=max(1, -(-replicas // max(workers, 1))))
-
+    joined = _ladder_map(chunk, replicas, workers, n_values)
     for n in n_values:
-        i_n = np.concatenate([c[n]["i_n"] for c in chunks])
-        chi_rows = np.vstack([c[n]["chi_rows"] for c in chunks])
-        m_pair = np.concatenate([c[n]["m_pair"] for c in chunks])
-        mass = np.concatenate([c[n]["mass"] for c in chunks])
-        ys = np.vstack([c[n]["ys"] for c in chunks])
-        report.translation_traces[n] = np.concatenate([c[n]["trace"] for c in chunks])
+        c = joined[n]
+        ys, chi_rows = c["ys"], c["chi_rows"]
+        report.translation_traces[n] = c["trace"]
 
-        def max_y_gap(samples):
-            best = (0.0, 0.0)
-            for c in range(ys.shape[1]):
-                mval, se = mean_and_stderr(ys[:, c] * samples)
-                if abs(mval) >= abs(best[0]):
-                    best = (abs(mval), se)
-            return best
-
-        ito_gap, ito_se = max_y_gap(i_n)
+        ito_gap, ito_se = max_y_gap(ys, c["i_n"])
         chi_best = (0.0, 0.0)
-        for c in range(chi_rows.shape[1]):
-            g, se = max_y_gap(chi_rows[:, c])
+        for col in range(chi_rows.shape[1]):
+            g, se = max_y_gap(ys, chi_rows[:, col])
             if g >= chi_best[0]:
                 chi_best = (g, se)
-        m_gap, _ = max_y_gap(m_pair)
+        m_gap, _ = max_y_gap(ys, c["m_pair"])
         report.entries.append(KineticStabilityEntry(
             n, ito_gap, ito_se, chi_best[0], chi_best[1], m_gap,
-            float(pairwise_sum(mass) / replicas), monitor_rows[n]))
+            float(pairwise_sum(c["mass"]) / replicas), monitor_rows[n]))
     return report.finalize()
 
 
@@ -755,23 +675,11 @@ def claw_translation_ensembles(problem_of_n: Callable[[int], KineticProblem],
                                phi: KineticTestFunction,
                                workers: int = 1) -> dict[int, np.ndarray]:
     """Kinetic Ito-integrand pairing traces for the translation-rate fits."""
-    out = {}
-    for n in n_values:
-        pn = problem_of_n(n)
+    def theta_of(pn):
         phi.validate_support(pn.window)
-
-        def chunk(lo, hi, pn=pn):
-            dW = increment_chunk(tgrid, pn.k, seed, lo, hi)
-            u0 = np.broadcast_to(np.asarray(pn.u0(grid.x), dtype=float)
-                                 * np.ones(grid.cells), (hi - lo, grid.cells))
-            res = _march_claw(pn, grid, tgrid, u0, dW,
-                              pairings={"ito": (phi.psi.values, ito_pairing_fn(pn, phi))})
-            return res["traces"]["ito"]
-
-        parts = map_chunks(chunk, replicas, workers,
-                           chunk=max(1, -(-replicas // max(workers, 1))))
-        out[n] = np.concatenate(parts)
-    return out
+        return ito_pairing_fn(pn, phi)
+    return translation_ensembles(_march_claw, problem_of_n, theta_of, phi.psi.values,
+                                 n_values, grid, tgrid, replicas, seed, workers)
 
 
 def burgers_riemann(levels: tuple[float, float] = (1.0, 0.0),

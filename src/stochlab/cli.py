@@ -31,11 +31,13 @@ from . import transport as transport_mod
 from .mollify import (MollifierKernel, adjoint_mollify,
                       adjoint_mollify_derivative, mollify, mollify_derivative,
                       time_inner)
-from ._util import map_chunks, mean_and_stderr
+from ._util import map_chunks, mean_and_stderr, trapezoid_weights
 from .errors import ConfigurationError
-from .processes import Ensemble, TestFunction
+from .ito import discrete_ito_identity_residual
+from .processes import AdaptedProcess, Ensemble, TestFunction
 from .translation import fit_translation_rate
-from .wiener import CouplingSchedule, TimeGrid, increment_chunk, initial_chunk
+from .wiener import (CouplingSchedule, TimeGrid, increment_chunk, initial_chunk,
+                     sample_wiener)
 
 CSV_HEADER = ["experiment", "n", "rho", "h", "statistic", "value", "stderr",
               "samples", "seed", "verdict"]
@@ -76,8 +78,11 @@ class Row:
 _REQUIRED = object()
 
 
-def _int(v):
-    return int(v)
+def _seed(v):
+    x = int(v)
+    if x < 0:
+        raise ValueError("must be non-negative")
+    return x
 
 
 def _pos_int(v):
@@ -98,20 +103,25 @@ def _pos_float(v):
     return x
 
 
-def _int_list(v):
-    return [int(s.strip()) for s in str(v).split(",") if s.strip()]
-
-
-def _float_list(v):
-    return [_fraction(s.strip()) for s in str(v).split(",") if s.strip()]
-
-
 def _fraction(v):
     # allow "1/256" style lag entries alongside plain floats
     if "/" in str(v):
         a, b = str(v).split("/")
         return float(a) / float(b)
     return float(v)
+
+
+def _list_of(item):
+    def parse(v):
+        items = [item(s.strip()) for s in str(v).split(",") if s.strip()]
+        if not items:
+            raise ValueError("must be a non-empty list")
+        return items
+    return parse
+
+
+_int_list = _list_of(int)
+_float_list = _list_of(_fraction)
 
 
 def _choice(*options):
@@ -125,13 +135,13 @@ def _choice(*options):
 
 SCHEMAS: dict[str, dict] = {
     "isometry": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),
         "time_steps": (_pos_int, 512),
         "identity_paths": (_pos_int, 1000),
     },
     "mollifier": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),       # number of random smooth pairs
         "time_steps": (_pos_int, 1024),
         "rho": (_pos_float, 0.07),
@@ -140,7 +150,7 @@ SCHEMAS: dict[str, dict] = {
         "mass_rho": (_pos_float, 0.06),
     },
     "translate": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),       # replicas per family member
         "cells": (_pos_int, 128),
         "time_steps": (_pos_int, 2048),
@@ -150,7 +160,7 @@ SCHEMAS: dict[str, dict] = {
         "uniformity_max": (_float, 1.5),
     },
     "counterexample": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),
         "which": (_choice("sine", "spike", "both"), "both"),
         "time_steps": (_pos_int, 512),
@@ -159,7 +169,7 @@ SCHEMAS: dict[str, dict] = {
         "tolerance": (_pos_float, 0.03),
     },
     "theorem21": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),
         "time_steps": (_pos_int, 256),
         "n_ladder": (_int_list, [1, 4, 16]),
@@ -168,7 +178,7 @@ SCHEMAS: dict[str, dict] = {
         "decomposition_samples": (_pos_int, 2000),
     },
     "l1mode": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),
         "time_steps": (_pos_int, 256),
         "cells": (_pos_int, 64),
@@ -177,14 +187,14 @@ SCHEMAS: dict[str, dict] = {
         "growth_factor": (_pos_float, 2.0),
     },
     "corollary42": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),
         "time_steps": (_pos_int, 256),
         "n_ladder": (_int_list, [2, 8, 32]),
         "rho": (_pos_float, 0.1),
     },
     "transport": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),       # replicas
         "cells": (_pos_int, 128),
         "horizon": (_pos_float, 0.25),
@@ -197,7 +207,7 @@ SCHEMAS: dict[str, dict] = {
         "noise_amplitude": (_float, 0.15),
     },
     "claw": {
-        "seed": (_int, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),       # replicas for the ladder
         "cells": (_pos_int, 64),
         "horizon": (_pos_float, 0.2),
@@ -222,7 +232,11 @@ def apply_defaults(section: str, params: dict) -> dict:
     for key, (_, default) in schema.items():
         if key not in out:
             if default is _REQUIRED:
-                raise ConfigurationError(f"missing required key '{key}' in [{section}]")
+                have_defaults = {k: d for k, (_, d) in schema.items()
+                                 if d is not _REQUIRED and d is not None}
+                raise ConfigurationError(
+                    f"missing required key '{key}' in [{section}] "
+                    f"(keys with defaults: {have_defaults})")
             out[key] = default
     return out
 
@@ -257,17 +271,7 @@ def parse_config(text: str) -> dict[str, dict]:
                 params[key] = fn(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigurationError(f"bad value for '{key}' in [{section}]: {exc}") from exc
-        for key, (fn, default) in schema.items():
-            if key in params:
-                continue
-            if default is _REQUIRED:
-                have_defaults = {k: d for k, (_, d) in schema.items()
-                                 if d is not _REQUIRED and d is not None}
-                raise ConfigurationError(
-                    f"missing required key '{key}' in [{section}] "
-                    f"(keys with defaults: {have_defaults})")
-            params[key] = default
-        plan[section] = params
+        plan[section] = apply_defaults(section, params)
     return plan
 
 
@@ -280,6 +284,7 @@ def _verdict(ok: bool) -> str:
 
 
 def _run_isometry(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("isometry", p)
     seed, samples, nt = p["seed"], p["samples"], p["time_steps"]
     grid = TimeGrid(1.0, nt)
     dt = grid.dt
@@ -314,8 +319,6 @@ def _run_isometry(p: dict, workers: int) -> list[Row]:
         rows.append(Row("isometry", f"{name}_rhs", rhs, samples=samples, seed=seed))
         rows.append(Row("isometry", f"{name}_z", z, samples=samples, seed=seed,
                         verdict=_verdict(abs(z) <= 3.0)))
-    from .ito import discrete_ito_identity_residual
-    from .wiener import sample_wiener
     worst = max(discrete_ito_identity_residual(sample_wiener(grid, 1, seed, r))
                 for r in range(p["identity_paths"]))
     rows.append(Row("isometry", "ito_identity_max_rel", worst,
@@ -325,6 +328,7 @@ def _run_isometry(p: dict, workers: int) -> list[Row]:
 
 
 def _run_mollifier(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("mollifier", p)
     seed, pairs, nt = p["seed"], p["samples"], p["time_steps"]
     grid = TimeGrid(1.0, nt)
     K = MollifierKernel(p["rho"])
@@ -357,8 +361,7 @@ def _run_mollifier(p: dict, workers: int) -> list[Row]:
     for f in corpus:
         out = mollify(K, grid, f)
         for r in (1.0, 2.0, 3.0):
-            w = np.full(nt + 1, grid.dt)
-            w[0] = w[-1] = grid.dt / 2
+            w = trapezoid_weights(nt + 1, grid.dt)
             nf = np.sum(w * np.abs(f) ** r) ** (1 / r)
             no = np.sum(w * np.abs(out) ** r) ** (1 / r)
             contraction_ok = contraction_ok and (no <= nf * (1 + 1e-6))
@@ -396,6 +399,7 @@ def _claw_translation_problem(n: int):
 
 
 def _run_translate(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("translate", p)
     seed, replicas = p["seed"], p["samples"]
     tgrid = TimeGrid(1.0, p["time_steps"])
     grid = transport_mod.TorusGrid(p["cells"])
@@ -428,6 +432,7 @@ def _run_translate(p: dict, workers: int) -> list[Row]:
 
 
 def _run_counterexample(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("counterexample", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
     sched = CouplingSchedule()
@@ -471,11 +476,11 @@ def _weak_omega():
 
 
 def _unit_limit(draw):
-    from .processes import AdaptedProcess
     return AdaptedProcess(draw.W.grid, np.ones(draw.W.grid.steps), "scalar")
 
 
 def _run_theorem21(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("theorem21", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
     sched = CouplingSchedule()
@@ -517,6 +522,7 @@ def _run_theorem21(p: dict, workers: int) -> list[Row]:
 
 
 def _run_l1mode(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("l1mode", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
     cells = p["cells"]
@@ -526,7 +532,6 @@ def _run_l1mode(p: dict, workers: int) -> list[Row]:
     fam = lab.spatial_oscillation_family(cells, v)
 
     def limit(draw):
-        from .processes import AdaptedProcess
         t = draw.W.grid.left_nodes
         x = np.arange(cells) / cells
         vals = v(t[:, None], x[None, :])
@@ -552,6 +557,7 @@ def _run_l1mode(p: dict, workers: int) -> list[Row]:
 
 
 def _run_corollary42(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("corollary42", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
     sched = CouplingSchedule()
@@ -620,6 +626,7 @@ def _transport_problem(p: dict, n: int | None):
 
 
 def _run_transport(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("transport", p)
     seed, replicas = p["seed"], p["samples"]
     grid = transport_mod.TorusGrid(p["cells"])
     report = transport_mod.stability_experiment(
@@ -656,7 +663,6 @@ def _run_transport(p: dict, workers: int) -> list[Row]:
         noise=None, epsilon=0.05,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5)
     nt = transport_mod.steps_for_cfl(cons, grid, 0.2)
-    from .wiener import sample_wiener
     path = transport_mod.solve_transport(cons, sample_wiener(TimeGrid(0.2, nt), 1, seed, 0), grid)
     means = path.spatial_mean()
     drift = float(np.max(np.abs(means - means[0])))
@@ -693,8 +699,8 @@ def _claw_problem(p: dict, n: int | None):
 
 
 def _run_claw(p: dict, workers: int) -> list[Row]:
+    p = apply_defaults("claw", p)
     seed, replicas = p["seed"], p["samples"]
-    from .wiener import sample_wiener
     rows = []
 
     # deterministic Burgers shock: Rankine-Hugoniot speed
@@ -703,7 +709,7 @@ def _run_claw(p: dict, workers: int) -> list[Row]:
     det = claw_mod.KineticProblem(
         flux=claw_mod.quadratic_flux(), sigma=None, epsilon=0.0,
         u0=claw_mod.burgers_riemann(), xi_min=-0.6, xi_max=1.6)
-    nt = claw_mod.claw_steps_for_cfl(det, grid, T, multiple_of=16)
+    nt = transport_mod.steps_for_cfl(det, grid, T, multiple_of=16)
     path, measure = claw_mod.solve_claw(det, sample_wiener(TimeGrid(T, nt), 1, seed, 0), grid)
     speed = (claw_mod.shock_position(path, nt) - claw_mod.shock_position(path, 0)) / T
     rows.append(Row("claw", "shock_speed", speed, seed=seed,
@@ -715,17 +721,16 @@ def _run_claw(p: dict, workers: int) -> list[Row]:
     chi_ok = (set(np.unique(chi)) <= {0, 1}) and bool(np.all(np.diff(chi.astype(int), axis=-1) <= 0))
     rows.append(Row("claw", "chi_invariants_exact", float(chi_ok), seed=seed,
                     verdict=_verdict(chi_ok)))
-    rows.append(Row("claw", "measure_min_bin",
-                    float(min(measure.kappa_cum.min(), measure.parabolic_cum.min())),
-                    seed=seed, verdict=_verdict(
-                        min(measure.kappa_cum.min(), measure.parabolic_cum.min()) >= 0.0)))
+    min_bin = float(min(measure.kappa_cum.min(), measure.parabolic_cum.min()))
+    rows.append(Row("claw", "measure_min_bin", min_bin, seed=seed,
+                    verdict=_verdict(min_bin >= 0.0)))
 
     # weak kinetic residual under mesh halving
     residuals = []
     T2 = 0.2
     for cells in p["det_cells"]:
         g2 = transport_mod.TorusGrid(cells)
-        nt2 = claw_mod.claw_steps_for_cfl(det, g2, T2, multiple_of=16)
+        nt2 = transport_mod.steps_for_cfl(det, g2, T2, multiple_of=16)
         W2 = sample_wiener(TimeGrid(T2, nt2), 1, seed, 0)
         path2, measure2 = claw_mod.solve_claw(det, W2, g2)
         phi2 = claw_mod.bump_test_function(
@@ -790,12 +795,21 @@ def _write_csv(path: Path, rows: list[Row]):
     path.write_text(buf.getvalue())
 
 
+def _failure(name: str, row: Row) -> str:
+    """experiment:statistic with the row's n, value and stderr as the CSV prints them."""
+    _, n, _, _, stat, value, stderr, *_ = row.as_record()
+    tail = f", stderr={stderr})" if stderr else ")"
+    return f"{name}:{stat} (n={n or '-'}, value={value}{tail}"
+
+
 def run(config_path: str, subcommand: str, out_dir: str,
         workers: int | None = None, seed_override: int | None = None) -> int:
     """Execute one subcommand (or all); returns the process exit status."""
     if subcommand not in EXPERIMENTS + ["all"]:
         raise ConfigurationError(
             f"unknown subcommand {subcommand!r}; accepted: {EXPERIMENTS + ['all']}")
+    if seed_override is not None and seed_override < 0:
+        raise ConfigurationError(f"--seed-override must be non-negative, got {seed_override}")
     plan = parse_config(Path(config_path).read_text())
     workers = workers if workers and workers > 0 else (os.cpu_count() or 1)
     out = Path(out_dir)
@@ -826,12 +840,12 @@ def run(config_path: str, subcommand: str, out_dir: str,
         rows = RUNNERS[name](params, workers)
         _write_csv(out / f"{name}.csv", rows)
         all_rows.extend(rows)
-        failures.extend(f"{name}:{r.statistic}" for r in rows if r.verdict == "fail")
+        failures.extend(_failure(name, r) for r in rows if r.verdict == "fail")
     if subcommand == "all":
         _write_csv(out / "all.csv", all_rows)
 
     if failures:
-        print(f"FAILED verdicts ({len(failures)}): " + ", ".join(failures))
+        print(f"FAILED verdicts ({len(failures)}): " + "; ".join(failures))
         return 1
     return 0
 

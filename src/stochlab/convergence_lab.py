@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import log_log_slope, map_chunks, mean_and_stderr, pairwise_sum
+from ._util import log_log_slope, map_chunks, max_y_gap, mean_and_stderr, pairwise_sum
 from .errors import ConfigurationError
 from .ito import ito_integral
 from .mollify import MollifierKernel, mollify_left_nodes
@@ -307,14 +307,8 @@ def decompose(grid: TimeGrid, k: int, Vn_of: ProcessFamily, V_of: ProcessLimit,
             sub_acc += _i2_subterms(kernel, grid, Vn.values, V.values, Wn, draw.W)
     i1_m, i1_se = mean_and_stderr(i1_sq)
     i3_m, i3_se = mean_and_stderr(i3_sq)
-
-    def max_gap(samples):
-        gaps = [mean_and_stderr(yv[:, i] * samples) for i in range(len(ys))]
-        best = max(gaps, key=lambda g: abs(g[0]))
-        return abs(best[0]), best[1]
-
-    i2_gap, i2_se = max_gap(i2)
-    tot_gap, tot_se = max_gap(total)
+    i2_gap, i2_se = max_y_gap(yv, i2)
+    tot_gap, tot_se = max_y_gap(yv, total)
     i2_sm, i2_sm_se = mean_and_stderr(i2 ** 2)
     tot_sm, tot_sm_se = mean_and_stderr(total ** 2)
     means = {}

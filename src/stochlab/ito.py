@@ -43,16 +43,6 @@ def ito_integral(V: AdaptedProcess, W: WienerPath, upto: int | None = None):
     raise ConfigurationError("field processes must be paired down before integration")
 
 
-def ito_sum(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """Vectorised left-point sums: values (..., N_t) against increments (..., N_t)."""
-    return np.sum(values * increments, axis=-1)
-
-
-def quadratic_variation(W: WienerPath) -> np.ndarray:
-    dW = W.increments
-    return np.sum(dW * dW, axis=0)
-
-
 def discrete_ito_identity_residual(W: WienerPath, component: int = 0) -> float:
     """Relative residual of  sum W dW = (W_T^2 - sum dW^2) / 2  on one path.
 

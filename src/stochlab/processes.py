@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import mean_and_stderr, pairwise_sum
+from ._util import pairwise_sum
 from .errors import ConfigurationError, GridMismatchError
 from .wiener import ReplicaDraw, TimeGrid, WienerPath, STREAM_W, STREAM_B
 
@@ -322,10 +322,3 @@ def weak_gap(make_Vn: Callable[[ReplicaDraw], AdaptedProcess],
     means = pairwise_sum(pairings, axis=0) / ensemble.replicas
     return float(np.max(np.abs(means)))
 
-
-def weak_gap_table(samples: np.ndarray, y_names: list[str]) -> dict[str, tuple[float, float]]:
-    """Per-Y mean and standard error from an (replicas, n_y) sample table."""
-    out = {}
-    for i, name in enumerate(y_names):
-        out[name] = mean_and_stderr(samples[:, i])
-    return out

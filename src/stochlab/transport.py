@@ -24,11 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import map_chunks, mean_and_stderr, pairwise_sum
+from ._util import (map_chunks, max_y_gap, mean_and_stderr, pairwise_sum,
+                    trapezoid_weights)
 from .errors import CFLError, ConfigurationError, SolverBlowupError
 from .processes import (ExponentSet, TestFunction, spectral_derivative,
                         spectral_prolong)
-from .translation import fit_translation_rate, standard_lag_ladder
 from .wiener import (CouplingSchedule, TimeGrid, WienerPath,
                      aggregate_increments, increment_chunk, initial_chunk)
 
@@ -125,6 +125,10 @@ class TransportProblem:
             return 1
         return self.noise.k
 
+    def max_wave_speed(self, grid: TorusGrid) -> float:
+        b = np.abs(np.asarray(self.velocity(grid.x_interfaces), dtype=float))
+        return float(np.max(b)) if b.ndim else float(b)
+
     def check_divergence_consistency(self, grid: TorusGrid, tol: float = 1e-6) -> float:
         """Spectral-derivative check of div b against b on the grid."""
         b = np.asarray(self.velocity(grid.x), dtype=float) * np.ones(grid.cells)
@@ -135,18 +139,21 @@ class TransportProblem:
         return err
 
 
-def cfl_number(problem: TransportProblem, grid: TorusGrid, dt: float) -> float:
-    b = np.abs(np.asarray(problem.velocity(grid.x_interfaces), dtype=float))
-    bmax = float(np.max(b)) if b.ndim else float(b)
-    return bmax * dt / grid.dx + 2.0 * problem.epsilon * dt / grid.dx ** 2
+def cfl_number(problem, grid: TorusGrid, dt: float) -> float:
+    """Advective plus viscous CFL number of an explicit scheme.
+
+    problem is a TransportProblem or a claw.KineticProblem: anything with
+    max_wave_speed(grid) and epsilon.
+    """
+    speed = problem.max_wave_speed(grid)
+    return speed * dt / grid.dx + 2.0 * problem.epsilon * dt / grid.dx ** 2
 
 
-def steps_for_cfl(problem: TransportProblem, grid: TorusGrid, horizon: float,
+def steps_for_cfl(problem, grid: TorusGrid, horizon: float,
                   target: float = 0.45, multiple_of: int = 1) -> int:
     """Smallest step count (rounded to a multiple) meeting the CFL target."""
-    b = np.abs(np.asarray(problem.velocity(grid.x_interfaces), dtype=float))
-    bmax = float(np.max(b)) if b.ndim else float(b)
-    rate = bmax / grid.dx + 2.0 * problem.epsilon / grid.dx ** 2
+    speed = problem.max_wave_speed(grid)
+    rate = speed / grid.dx + 2.0 * problem.epsilon / grid.dx ** 2
     steps = int(np.ceil(horizon * rate / target))
     return max(multiple_of, ((steps + multiple_of - 1) // multiple_of) * multiple_of)
 
@@ -175,83 +182,92 @@ def _energy_of(values: np.ndarray, dx: float) -> np.ndarray:
     return pairwise_sum(values * values, axis=-1) * (0.5 * dx)
 
 
-def _noise_increment(noise, u: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    if noise is None:
-        return 0.0
-    if isinstance(noise, AdditiveNoise):
-        return np.einsum("xk,...k->...x", noise.values, dw)
-    return np.einsum("...xk,...k->...x", noise(u), dw)
+def _explicit_march(problem, grid: TorusGrid, tgrid: TimeGrid, u0: np.ndarray,
+                    step: Callable, pairings: dict[str, tuple[np.ndarray, Callable]] | None = None,
+                    store_full: bool = False, snap_idx: np.ndarray | None = None,
+                    after_step: Callable | None = None) -> dict:
+    """Step loop shared by the explicit schemes, from u0 of shape (..., cells).
+
+    step(j, u) returns the state at t_{j+1}; after_step(j, u, u_new), if
+    given, sees each new state once it is known to be finite. pairings maps a
+    name to (psi nodal values, theta) and produces the trace
+    t_j -> dx * sum_i psi_i theta(u(t_j))_i in R^k at every node. Returns a
+    dict with whatever was requested plus the energy trace and final state.
+    """
+    dx, nt = grid.dx, tgrid.steps
+    cfl = cfl_number(problem, grid, tgrid.dt)
+    if cfl > CFL_LIMIT:
+        raise CFLError(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT}")
+    u = np.array(u0, dtype=float, copy=True)
+    lead = u.shape[:-1]
+
+    energy = np.empty(lead + (nt + 1,))
+    energy[..., 0] = _energy_of(u, dx)
+    out: dict = {"energy": energy}
+    if store_full:
+        full = out["full"] = np.empty((nt + 1,) + u.shape)
+        full[0] = u
+    snap_pos = {}
+    if snap_idx is not None:
+        snaps = out["snapshots"] = np.empty(lead + (len(snap_idx), grid.cells))
+        snap_pos = {int(j): s for s, j in enumerate(snap_idx)}
+        if 0 in snap_pos:
+            snaps[..., snap_pos[0], :] = u
+    pairings = pairings or {}
+    traces = {}
+    for name, (psi, theta) in pairings.items():
+        probe = theta(u)
+        kk = probe.shape[-1] if probe.ndim > u.ndim else 1
+        traces[name] = np.empty(lead + (nt + 1, kk))
+        traces[name][..., 0, :] = _pair_theta(psi, probe, u.ndim, dx)
+
+    for j in range(nt):
+        u_new = step(j, u)
+        if not np.all(np.isfinite(u_new)):
+            raise SolverBlowupError(j)
+        if after_step is not None:
+            after_step(j, u, u_new)
+        u = u_new
+        energy[..., j + 1] = _energy_of(u, dx)
+        if store_full:
+            full[j + 1] = u
+        if (j + 1) in snap_pos:
+            snaps[..., snap_pos[j + 1], :] = u
+        for name, (psi, theta) in pairings.items():
+            probe = theta(u)
+            traces[name][..., j + 1, :] = _pair_theta(psi, probe, u.ndim, dx)
+
+    out["final"] = u
+    if pairings:
+        out["traces"] = traces
+    return out
 
 
 def _march(problem: TransportProblem, grid: TorusGrid, tgrid: TimeGrid,
            u0: np.ndarray, dW: np.ndarray | None,
            pairings: dict[str, tuple[np.ndarray, Callable]] | None = None,
            store_full: bool = False, snap_idx: np.ndarray | None = None):
-    """Step the scheme from u0 of shape (..., cells).
-
-    pairings maps a name to (psi nodal values, theta) and produces the trace
-    t_j -> dx * sum_i psi_i theta(u(t_j))_i in R^k at every node. Returns a
-    dict with whatever was requested plus the energy trace and final state.
-    """
+    """Upwind + viscosity + source + Euler-Maruyama noise; see _explicit_march."""
     dt, dx = tgrid.dt, grid.dx
-    nt = tgrid.steps
-    cfl = cfl_number(problem, grid, dt)
-    if cfl > CFL_LIMIT:
-        raise CFLError(f"CFL number {cfl:.3f} exceeds {CFL_LIMIT}")
     b_iface = np.asarray(problem.velocity(grid.x_interfaces), dtype=float) * np.ones(grid.cells)
     bp, bm = np.maximum(b_iface, 0.0), np.minimum(b_iface, 0.0)
     f_cells = np.asarray(problem.source(grid.x), dtype=float) * np.ones(grid.cells)
-    eps = problem.epsilon
-    u = np.array(u0, dtype=float, copy=True)
-    lead = u.shape[:-1]
+    eps, noise = problem.epsilon, problem.noise
+    if dW is None:
+        noise = None
 
-    energy = np.empty(lead + (nt + 1,))
-    energy[..., 0] = _energy_of(u, dx)
-    out: dict = {}
-    if store_full:
-        full = np.empty((nt + 1,) + u.shape)
-        full[0] = u
-    if snap_idx is not None:
-        snaps = np.empty(lead + (len(snap_idx),) + (grid.cells,))
-        snap_pos = {int(j): s for s, j in enumerate(snap_idx)}
-        if 0 in snap_pos:
-            snaps[..., snap_pos[0], :] = u
-    traces = {}
-    if pairings:
-        for name, (psi, theta) in pairings.items():
-            probe = theta(u)
-            kk = probe.shape[-1] if probe.ndim > u.ndim else 1
-            traces[name] = np.empty(lead + (nt + 1, kk))
-            traces[name][..., 0, :] = _pair_theta(psi, probe, u.ndim, dx)
-
-    for j in range(nt):
+    def step(j, u):
         flux = bp * u + bm * np.roll(u, -1, axis=-1)
         div = (flux - np.roll(flux, 1, axis=-1)) / dx
         lap = (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / dx ** 2
         incr = -dt * div + eps * dt * lap + dt * f_cells
-        if dW is not None and problem.noise is not None:
-            incr = incr + _noise_increment(problem.noise, u, dW[..., j, :])
-        u = u + incr
-        if not np.all(np.isfinite(u)):
-            raise SolverBlowupError(j)
-        energy[..., j + 1] = _energy_of(u, dx)
-        if store_full:
-            full[j + 1] = u
-        if snap_idx is not None and (j + 1) in snap_pos:
-            snaps[..., snap_pos[j + 1], :] = u
-        for name, (psi, theta) in (pairings or {}).items():
-            probe = theta(u)
-            traces[name][..., j + 1, :] = _pair_theta(psi, probe, u.ndim, dx)
+        if isinstance(noise, AdditiveNoise):
+            incr = incr + np.einsum("xk,...k->...x", noise.values, dW[..., j, :])
+        elif noise is not None:
+            incr = incr + np.einsum("...xk,...k->...x", noise(u), dW[..., j, :])
+        return u + incr
 
-    out["final"] = u
-    out["energy"] = energy
-    if store_full:
-        out["full"] = full
-    if snap_idx is not None:
-        out["snapshots"] = snaps
-    if pairings:
-        out["traces"] = traces
-    return out
+    return _explicit_march(problem, grid, tgrid, u0, step, pairings, store_full, snap_idx)
 
 
 def _pair_theta(psi: np.ndarray, probe: np.ndarray, u_ndim: int, dx: float) -> np.ndarray:
@@ -299,11 +315,6 @@ def weak_residual(path: FieldPath, problem: TransportProblem, W: WienerPath,
             paired = np.einsum("x,jxk->jk", phi.values, problem.noise(u[:J])) * dx
         noise_term = float(np.sum(paired * dW))
     return mass - transport - source - viscous - noise_term
-
-
-def energy_trace(path: FieldPath) -> np.ndarray:
-    """int u(t)^2 / 2 dx per node (stored on the path; re-exposed for symmetry)."""
-    return path.energy
 
 
 def renormalized_pairing(path: FieldPath, psi: TestFunction,
@@ -401,6 +412,77 @@ def _coefficient_distance(fa, fb, x: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
+def _ladder_grids(worst, limit, grid: TorusGrid, horizon: float, refine: int,
+                  multiple_of: int) -> tuple[TimeGrid, TorusGrid, TimeGrid]:
+    """Coarse time grid the most viscous member needs, and the reference meshes."""
+    nt = steps_for_cfl(worst, grid, horizon, multiple_of=multiple_of)
+    fine_grid = grid.refine(refine)
+    fine_tgrid = TimeGrid(horizon, nt * refine)
+    if cfl_number(limit, fine_grid, fine_tgrid.dt) > CFL_LIMIT:
+        raise CFLError("limit problem violates CFL on the reference mesh")
+    return TimeGrid(horizon, nt), fine_grid, fine_tgrid
+
+
+def _check_monitors(report, monitor_rows: dict[int, dict], n_values: list[int]) -> None:
+    """Flag hypothesis monitors (data_n -> data distances) that do not fall along the ladder."""
+    for key in monitor_rows[n_values[0]]:
+        vals = [monitor_rows[n][key] for n in n_values]
+        if any(vals[i + 1] > vals[i] + 1e-12 for i in range(len(vals) - 1)):
+            report.monitors_ok = False
+            report.notes.append(f"hypothesis monitor {key} not improving along the ladder")
+
+
+def _ladder_draws(fine_tgrid: TimeGrid, k: int, seed: int, lo: int, hi: int,
+                  refine: int, schedule: CouplingSchedule):
+    """Randomness of replicas lo..hi-1 in a coupled ladder.
+
+    Returns the fine increments, coupled(n) -> coarse increments of W_n (block
+    sums of the fine ones, mixed with B), omega0, W_T and the test-variable
+    matrix.
+    """
+    dWf = increment_chunk(fine_tgrid, k, seed, lo, hi)
+    dW = aggregate_increments(dWf, refine)
+    if schedule.kind != "identity":
+        dB = aggregate_increments(increment_chunk(fine_tgrid, k, seed, lo, hi, stream=1), refine)
+    omega0, _ = initial_chunk(seed, lo, hi)
+
+    def coupled(n):
+        a = schedule.coefficient(n)
+        return dW if a == 0.0 else (dW + a * dB) / np.sqrt(1.0 + a * a)
+
+    w_final = dWf.sum(axis=1)[:, 0]
+    w_half = dWf[:, : fine_tgrid.steps // 2, 0].sum(axis=1)
+    ys = _test_variable_matrix(omega0, w_final, w_half, fine_tgrid.horizon)
+    return dWf, coupled, omega0, w_final, ys
+
+
+def _ladder_map(chunk: Callable, replicas: int, workers: int,
+                n_values: list[int]) -> dict[int, dict[str, np.ndarray]]:
+    """Run chunk(lo, hi) -> {n: {name: array}} over the replicas; join in replica order."""
+    chunks = map_chunks(chunk, replicas, workers)
+    return {n: {key: np.concatenate([c[n][key] for c in chunks]) for key in chunks[0][n]}
+            for n in n_values}
+
+
+def _initial_state(problem, grid: TorusGrid, replicas: int) -> np.ndarray:
+    return np.broadcast_to(np.asarray(problem.u0(grid.x), dtype=float)
+                           * np.ones(grid.cells), (replicas, grid.cells))
+
+
+def _sigma_theta(problem: TransportProblem) -> Callable:
+    """u -> sigma(u) of shape (..., cells, k), the integrand of the sigma pairing."""
+    noise = problem.noise
+    if isinstance(noise, AdditiveNoise):
+        return lambda u: np.broadcast_to(noise.values, u.shape + (noise.k,))
+    return noise
+
+
+def _renorm_theta(problem: TransportProblem) -> Callable:
+    """u -> u sigma(u), the eta' sigma integrand of the renormalised pairing."""
+    sigma = _sigma_theta(problem)
+    return lambda u: u[..., None] * sigma(u)
+
+
 def stability_experiment(problems: dict[int, TransportProblem],
                          limit: TransportProblem,
                          schedule: CouplingSchedule,
@@ -419,12 +501,9 @@ def stability_experiment(problems: dict[int, TransportProblem],
     if psi is None:
         psi = TestFunction.one(grid.cells)
     worst = problems[n_values[0]]
-    nt = steps_for_cfl(worst, grid, horizon, multiple_of=snapshots)
-    tgrid = TimeGrid(horizon, nt)
-    fine_grid = grid.refine(refine)
-    fine_tgrid = TimeGrid(horizon, nt * refine)
-    if cfl_number(limit, fine_grid, fine_tgrid.dt) > CFL_LIMIT:
-        raise CFLError("limit problem violates CFL on the reference mesh")
+    tgrid, fine_grid, fine_tgrid = _ladder_grids(worst, limit, grid, horizon, refine,
+                                                 multiple_of=snapshots)
+    nt = tgrid.steps
     k = limit.k
 
     report = TransportStabilityReport(energy_bound=gronwall_energy_bound(worst, grid, horizon),
@@ -442,70 +521,36 @@ def stability_experiment(problems: dict[int, TransportProblem],
             "f": _coefficient_distance(pn.source, limit.source, x),
             "u0": _coefficient_distance(pn.u0, limit.u0, x),
         }
-    for key in ("b", "div_b", "f", "u0"):
-        vals = [monitor_rows[n][key] for n in n_values]
-        if any(vals[i + 1] > vals[i] + 1e-12 for i in range(len(vals) - 1)):
-            report.monitors_ok = False
-            report.notes.append(f"hypothesis monitor {key} not improving along the ladder")
+    _check_monitors(report, monitor_rows, n_values)
 
     snap_local = np.arange(0, nt + 1, nt // snapshots)
     snap_fine = snap_local * refine
     p = limit.p
     dx, dt = grid.dx, tgrid.dt
-    snap_w = np.full(len(snap_local), horizon / snapshots)
-    snap_w[0] *= 0.5
-    snap_w[-1] *= 0.5
-
-    def sigma_theta(problem):
-        def theta(u):
-            if isinstance(problem.noise, AdditiveNoise):
-                return np.broadcast_to(problem.noise.values, u.shape + (problem.noise.k,))
-            return problem.noise(u)
-        return theta
-
-    def renorm_theta(problem):
-        base = sigma_theta(problem)
-        def theta(u):
-            return u[..., None] * base(u)
-        return theta
+    snap_w = trapezoid_weights(len(snap_local), horizon / snapshots)
 
     def chunk(lo, hi):
         m = hi - lo
-        dWf = increment_chunk(fine_tgrid, k, seed, lo, hi)
-        dW = np.stack([aggregate_increments(dWf[i], refine) for i in range(m)])
-        if schedule.kind == "identity":
-            dBf = None
-        else:
-            dBf = increment_chunk(fine_tgrid, k, seed, lo, hi, stream=1)
-            dB = np.stack([aggregate_increments(dBf[i], refine) for i in range(m)])
-        omega0, _ = initial_chunk(seed, lo, hi)
-
-        u0_fine = np.broadcast_to(np.asarray(limit.u0(fine_grid.x), dtype=float)
-                                  * np.ones(fine_grid.cells), (m, fine_grid.cells))
+        dWf, coupled, omega0, w_final, ys = _ladder_draws(fine_tgrid, k, seed, lo, hi,
+                                                          refine, schedule)
         psi_fine = spectral_prolong(psi.values, refine)
-        ref = _march(limit, fine_grid, fine_tgrid, u0_fine, dWf if limit.noise else None,
-                     pairings={"sigma": (psi_fine, sigma_theta(limit)),
-                               "renorm": (psi_fine, renorm_theta(limit))},
+        ref = _march(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, m),
+                     dWf if limit.noise else None,
+                     pairings={"sigma": (psi_fine, _sigma_theta(limit)),
+                               "renorm": (psi_fine, _renorm_theta(limit))},
                      snap_idx=snap_fine)
         ref_snaps = ref["snapshots"][:, :, ::refine]
         ref_sigma = np.sum(ref["traces"]["sigma"][:, :-1, :] * dWf, axis=(1, 2))
         ref_renorm = np.sum(ref["traces"]["renorm"][:, :-1, :] * dWf, axis=(1, 2))
-
-        w_final = dWf.sum(axis=1)[:, 0]
-        w_half = dWf[:, : fine_tgrid.steps // 2, 0].sum(axis=1)
-        ys = _test_variable_matrix(omega0, w_final, w_half, horizon)
         nonneg_ys = np.stack([np.ones(m), w_final ** 2, 1.0 + np.sin(2 * np.pi * omega0)], axis=1)
 
         out = {}
         for n in n_values:
             pn = problems[n]
-            a = schedule.coefficient(n)
-            dWn = dW if a == 0.0 else (dW + a * dB) / np.sqrt(1.0 + a * a)
-            u0n = np.broadcast_to(np.asarray(pn.u0(grid.x), dtype=float)
-                                  * np.ones(grid.cells), (m, grid.cells))
-            res = _march(pn, grid, tgrid, u0n, dWn if pn.noise else None,
-                         pairings={"sigma": (psi.values, sigma_theta(pn)),
-                                   "renorm": (psi.values, renorm_theta(pn))},
+            dWn = coupled(n)
+            res = _march(pn, grid, tgrid, _initial_state(pn, grid, m), dWn if pn.noise else None,
+                         pairings={"sigma": (psi.values, _sigma_theta(pn)),
+                                   "renorm": (psi.values, _renorm_theta(pn))},
                          snap_idx=snap_local)
             diff = res["snapshots"] - ref_snaps
             lp_pow = np.einsum("rsx,s->r", np.abs(diff) ** p, snap_w) * dx
@@ -522,38 +567,23 @@ def stability_experiment(problems: dict[int, TransportProblem],
                           nonneg_ys=nonneg_ys, renorm_trace=res["traces"]["renorm"])
         return out
 
-    chunks = map_chunks(chunk, replicas, workers, chunk=max(1, -(-replicas // max(workers, 1))))
-
+    joined = _ladder_map(chunk, replicas, workers, n_values)
     for n in n_values:
-        lp_pow = np.concatenate([c[n]["lp_pow"] for c in chunks])
-        i_sigma = np.concatenate([c[n]["i_sigma"] for c in chunks])
-        i_renorm = np.concatenate([c[n]["i_renorm"] for c in chunks])
-        energy_sup = np.concatenate([c[n]["energy_sup"] for c in chunks])
-        f_int = np.concatenate([c[n]["f_int"] for c in chunks])
-        ys = np.vstack([c[n]["ys"] for c in chunks])
-        nonneg = np.vstack([c[n]["nonneg_ys"] for c in chunks])
-        report.pairing_traces[n] = np.concatenate([c[n]["renorm_trace"] for c in chunks])
+        c = joined[n]
+        ys, nonneg = c["ys"], c["nonneg_ys"]
+        report.pairing_traces[n] = c["renorm_trace"]
 
-        mean_pow, se_pow = mean_and_stderr(lp_pow)
+        mean_pow, se_pow = mean_and_stderr(c["lp_pow"])
         lp = mean_pow ** (1.0 / p)
         lp_se = se_pow / max(p * mean_pow ** (1.0 - 1.0 / p), 1e-300)
-
-        def max_y_gap(samples):
-            best = (0.0, 0.0)
-            for c in range(ys.shape[1]):
-                mval, se = mean_and_stderr(ys[:, c] * samples)
-                if abs(mval) >= abs(best[0]):
-                    best = (abs(mval), se)
-            return best
-
-        sgap, sgap_se = max_y_gap(i_sigma)
-        rgap, rgap_se = max_y_gap(i_renorm)
+        sgap, sgap_se = max_y_gap(ys, c["i_sigma"])
+        rgap, rgap_se = max_y_gap(ys, c["i_renorm"])
         worst_sign = -np.inf
-        for c in range(nonneg.shape[1]):
-            mval, se = mean_and_stderr(nonneg[:, c] * f_int)
+        for col in range(nonneg.shape[1]):
+            mval, se = mean_and_stderr(nonneg[:, col] * c["f_int"])
             worst_sign = max(worst_sign, mval - sign_slack * se)
         report.entries.append(StabilityEntry(
-            n, lp, lp_se, float(pairwise_sum(energy_sup) / replicas),
+            n, lp, lp_se, float(pairwise_sum(c["energy_sup"]) / replicas),
             sgap, sgap_se, rgap, rgap_se, worst_sign, monitor_rows[n]))
     return report.finalize()
 
@@ -576,6 +606,30 @@ def _test_variable_matrix(omega0: np.ndarray, w_final: np.ndarray,
     ], axis=1)
 
 
+def translation_ensembles(march: Callable, problem_of_n: Callable, theta_of: Callable,
+                          psi_values: np.ndarray, n_values: list[int], grid: TorusGrid,
+                          tgrid: TimeGrid, replicas: int, seed: int,
+                          workers: int = 1) -> dict[int, np.ndarray]:
+    """Pairing traces t_j -> dx sum_i psi_i theta_n(u_n(t_j))_i per ladder member.
+
+    march is the scheme (_march or claw._march_claw); theta_of(problem) gives
+    the paired integrand. Every member reads the same Brownian increments.
+    """
+    out = {}
+    for n in n_values:
+        pn = problem_of_n(n)
+        theta = theta_of(pn)
+
+        def chunk(lo, hi, pn=pn, theta=theta):
+            dW = increment_chunk(tgrid, pn.k, seed, lo, hi)
+            res = march(pn, grid, tgrid, _initial_state(pn, grid, hi - lo), dW,
+                        pairings={"trace": (psi_values, theta)})
+            return res["traces"]["trace"]
+
+        out[n] = np.concatenate(map_chunks(chunk, replicas, workers))
+    return out
+
+
 def transport_translation_ensembles(problem_of_n: Callable[[int], TransportProblem],
                                     n_values: list[int], grid: TorusGrid,
                                     tgrid: TimeGrid, replicas: int, seed: int,
@@ -584,29 +638,5 @@ def transport_translation_ensembles(problem_of_n: Callable[[int], TransportProbl
     """Renormalised-pairing traces (eta' sigma composition) for the rate fits."""
     if psi is None:
         psi = TestFunction.one(grid.cells)
-
-    def theta_of(problem):
-        def theta(u):
-            if isinstance(problem.noise, AdditiveNoise):
-                base = np.broadcast_to(problem.noise.values, u.shape + (problem.noise.k,))
-            else:
-                base = problem.noise(u)
-            return u[..., None] * base
-        return theta
-
-    out = {}
-    for n in n_values:
-        pn = problem_of_n(n)
-
-        def chunk(lo, hi, pn=pn):
-            dW = increment_chunk(tgrid, pn.k, seed, lo, hi)
-            u0 = np.broadcast_to(np.asarray(pn.u0(grid.x), dtype=float)
-                                 * np.ones(grid.cells), (hi - lo, grid.cells))
-            res = _march(pn, grid, tgrid, u0, dW,
-                         pairings={"renorm": (psi.values, theta_of(pn))})
-            return res["traces"]["renorm"]
-
-        parts = map_chunks(chunk, replicas, workers,
-                           chunk=max(1, -(-replicas // max(workers, 1))))
-        out[n] = np.concatenate(parts)
-    return out
+    return translation_ensembles(_march, problem_of_n, _renorm_theta, psi.values, n_values,
+                                 grid, tgrid, replicas, seed, workers)

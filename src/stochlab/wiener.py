@@ -61,11 +61,6 @@ class TimeGrid:
         """Largest node index j with t_j <= t."""
         return min(int(np.floor(t / self.dt + 1e-12)), self.steps)
 
-    def coarsen(self, factor: int) -> "TimeGrid":
-        if self.steps % factor:
-            raise ConfigurationError(f"steps {self.steps} not divisible by {factor}")
-        return TimeGrid(self.horizon, self.steps // factor)
-
 
 @dataclass(frozen=True)
 class WienerPath:
@@ -127,20 +122,13 @@ def sample_wiener(
                       _increments=dW)
 
 
-def sample_increment_block(
-    grid: TimeGrid, k: int, seed: int, replicas: int, stream: int = STREAM_W
-) -> np.ndarray:
-    """Increments for replicas 0..replicas-1, shape (replicas, N_t, k).
-
-    Row r is bit-identical to sample_wiener(grid, k, seed, r, stream).increments.
-    """
-    return increment_chunk(grid, k, seed, 0, replicas, stream)
-
-
 def increment_chunk(
     grid: TimeGrid, k: int, seed: int, lo: int, hi: int, stream: int = STREAM_W
 ) -> np.ndarray:
-    """Increments for replicas lo..hi-1, shape (hi - lo, N_t, k)."""
+    """Increments for replicas lo..hi-1, shape (hi - lo, N_t, k).
+
+    Row r - lo is bit-identical to sample_wiener(grid, k, seed, r, stream).increments.
+    """
     out = np.empty((hi - lo, grid.steps, k))
     sqdt = np.sqrt(grid.dt)
     for r in range(lo, hi):
@@ -198,23 +186,14 @@ def sup_distance(W1: WienerPath, W2: WienerPath) -> float:
 def aggregate_increments(fine: np.ndarray, factor: int) -> np.ndarray:
     """Coarse-grid increments as sums of groups of `factor` fine increments.
 
-    The coarse path is the fine path restricted to every factor-th node, i.e.
-    the same Brownian realization viewed on a coarser grid.
+    fine has shape (..., N_t, k); leading axes (replicas) are kept. The coarse
+    path is the fine path restricted to every factor-th node, i.e. the same
+    Brownian realization viewed on a coarser grid.
     """
-    n, k = fine.shape
+    *lead, n, k = fine.shape
     if n % factor:
         raise ConfigurationError(f"{n} fine steps not divisible by {factor}")
-    return fine.reshape(n // factor, factor, k).sum(axis=1)
-
-
-def path_from_increments(
-    grid: TimeGrid, dW: np.ndarray, seed: int = 0, replica: int = 0,
-    stream: int = STREAM_W, derived: bool = True,
-) -> WienerPath:
-    k = dW.shape[1]
-    values = np.vstack([np.zeros((1, k)), np.cumsum(dW, axis=0)])
-    return WienerPath(grid, k, values, seed=seed, replica=replica,
-                      stream=stream, derived=derived, _increments=dW)
+    return fine.reshape(*lead, n // factor, factor, k).sum(axis=-2)
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from stochlab.claw import (ClawPath, KineticProblem, KineticTestFunction,
-                           bounded_smooth_sigma, bump_test_function,
-                           burgers_riemann, claw_steps_for_cfl,
-                           claw_translation_ensembles, constant_sigma,
-                           cubic_flux, kinetic_function, kinetic_residual,
-                           kinetic_stability_experiment, kinetic_window,
-                           linear_flux, quadratic_flux, shock_position,
-                           solve_claw)
+                           _march_claw, bounded_smooth_sigma, bump_test_function,
+                           burgers_riemann, claw_translation_ensembles,
+                           constant_sigma, cubic_flux, kinetic_function,
+                           kinetic_residual, kinetic_stability_experiment,
+                           kinetic_window, linear_flux, quadratic_flux,
+                           shock_position, solve_claw)
 from stochlab.errors import (CFLError, ConfigurationError, RangeEscapeError)
 from stochlab.processes import TestFunction
 from stochlab.translation import fit_translation_rate, standard_lag_ladder
-from stochlab.transport import TorusGrid
-from stochlab.wiener import CouplingSchedule, TimeGrid, sample_wiener
+from stochlab.transport import (TorusGrid, TransportProblem, _march,
+                                bounded_smooth_noise, steps_for_cfl)
+from stochlab.wiener import CouplingSchedule, TimeGrid, increment_chunk, sample_wiener
 
 GRID = TorusGrid(64)
 
@@ -51,7 +51,7 @@ def test_burgers_shock_speed_rankine_hugoniot():
     # Riemann datum (1, 0): shock speed (F(1)-F(0))/(1-0) = 1/2
     T = 0.3
     P = burgers_problem()
-    nt = claw_steps_for_cfl(P, GRID, T, multiple_of=16)
+    nt = steps_for_cfl(P, GRID, T, multiple_of=16)
     W = sample_wiener(TimeGrid(T, nt), 1, seed=2, replica=0)
     path, _ = solve_claw(P, W, GRID)
     x0 = shock_position(path, 0)
@@ -69,7 +69,7 @@ def test_rarefaction_carries_vanishing_mass_under_refinement():
     for cells in (64, 128):
         grid = TorusGrid(cells)
         P = burgers_problem(u0=burgers_riemann(levels=(0.0, 1.0), jump_at=(0.05, 0.55)))
-        nt = claw_steps_for_cfl(P, grid, T, multiple_of=16)
+        nt = steps_for_cfl(P, grid, T, multiple_of=16)
         W = sample_wiener(TimeGrid(T, nt), 1, seed=3, replica=0)
         _, measure = solve_claw(P, W, grid)
         masses.append(measure.mass_in_window((0.60, 0.70), cells))
@@ -78,7 +78,7 @@ def test_rarefaction_carries_vanishing_mass_under_refinement():
 
 def test_kinetic_function_invariants():
     P = burgers_problem()
-    W = sample_wiener(TimeGrid(0.2, claw_steps_for_cfl(P, GRID, 0.2, multiple_of=16)),
+    W = sample_wiener(TimeGrid(0.2, steps_for_cfl(P, GRID, 0.2, multiple_of=16)),
                       1, seed=4, replica=0)
     path, _ = solve_claw(P, W, GRID)
     field = kinetic_function(path.values, P)
@@ -104,7 +104,7 @@ def test_kinetic_function_symmetric_window_sign_structure():
 
 def test_range_escape_aborts():
     P = burgers_problem(window=(-0.05, 1.05), sigma=constant_sigma(np.array([2.0])))
-    nt = claw_steps_for_cfl(P, GRID, 0.3, multiple_of=16)
+    nt = steps_for_cfl(P, GRID, 0.3, multiple_of=16)
     W = sample_wiener(TimeGrid(0.3, nt), 1, seed=5, replica=0)
     with pytest.raises(RangeEscapeError):
         solve_claw(P, W, GRID)
@@ -119,7 +119,7 @@ def test_cfl_rejection():
 
 def test_measure_nonnegative_and_clamp_small():
     P = burgers_problem(eps=0.02)
-    nt = claw_steps_for_cfl(P, GRID, 0.2, multiple_of=16)
+    nt = steps_for_cfl(P, GRID, 0.2, multiple_of=16)
     W = sample_wiener(TimeGrid(0.2, nt), 1, seed=7, replica=0)
     _, measure = solve_claw(P, W, GRID)
     assert np.all(measure.kappa_cum >= 0.0)
@@ -131,7 +131,7 @@ def test_measure_nonnegative_and_clamp_small():
 
 def test_deterministic_maximum_principle():
     P = burgers_problem()
-    nt = claw_steps_for_cfl(P, GRID, 0.3, multiple_of=16)
+    nt = steps_for_cfl(P, GRID, 0.3, multiple_of=16)
     W = sample_wiener(TimeGrid(0.3, nt), 1, seed=8, replica=0)
     path, _ = solve_claw(P, W, GRID)
     assert path.values.min() >= 0.0 - 1e-10
@@ -158,7 +158,7 @@ def test_kinetic_residual_refines_on_burgers_shock():
     for cells in (64, 128):
         grid = TorusGrid(cells)
         P = burgers_problem()
-        nt = claw_steps_for_cfl(P, grid, T, multiple_of=16)
+        nt = steps_for_cfl(P, grid, T, multiple_of=16)
         W = sample_wiener(TimeGrid(T, nt), 1, seed=10, replica=0)
         path, measure = solve_claw(P, W, grid)
         phi = make_phi(cells=cells)
@@ -170,7 +170,7 @@ def test_ito_pairing_matches_direct_evaluation_for_constant_sigma():
     # d_xi chi = -delta_u: the d_xi(phi sigma) pairing is phi(x, u) sigma
     sigma0 = np.array([0.25])
     P = burgers_problem(sigma=constant_sigma(sigma0), window=(-1.2, 2.2))
-    nt = claw_steps_for_cfl(P, GRID, 0.2, multiple_of=16)
+    nt = steps_for_cfl(P, GRID, 0.2, multiple_of=16)
     W = sample_wiener(TimeGrid(0.2, nt), 1, seed=11, replica=0)
     path, _ = solve_claw(P, W, GRID)
     phi = make_phi(lo=-1.0, hi=2.0)
@@ -188,7 +188,7 @@ def test_residual_with_noise_at_scheme_scale():
     P = burgers_problem(sigma=bounded_smooth_sigma(0.1), eps=0.01,
                         u0=lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x),
                         window=(-0.9, 1.9))
-    nt = claw_steps_for_cfl(P, GRID, 0.2, multiple_of=16)
+    nt = steps_for_cfl(P, GRID, 0.2, multiple_of=16)
     vals = []
     for r in range(48):
         W = sample_wiener(TimeGrid(0.2, nt), 2, seed=12, replica=r)
@@ -247,3 +247,30 @@ def test_claw_translation_slopes():
     fit = fit_translation_rate(traces, tgrid, standard_lag_ladder(tgrid))
     assert fit.worst_slope() >= 0.4
     assert np.all(fit.uniform_ratio <= 1.5)
+
+
+def test_upwind_and_engquist_osher_marchers_agree_on_linear_transport():
+    # F(u) = c u with c > 0: the Engquist-Osher flux is the upwind flux, so the
+    # two marchers run one scheme; only the float order of the update differs
+    c, eps, amplitude, T = 0.7, 0.02, 0.2, 0.3
+    grid = TorusGrid(32)
+    u0_fn = lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x)
+    transport = TransportProblem(
+        velocity=lambda x: np.full_like(x, c), divergence=lambda x: np.zeros_like(x),
+        source=lambda x: np.zeros_like(x), noise=bounded_smooth_noise(amplitude),
+        epsilon=eps, u0=u0_fn)
+    kinetic = KineticProblem(flux=linear_flux(c), sigma=bounded_smooth_sigma(amplitude),
+                             epsilon=eps, u0=u0_fn, xi_min=-4.0, xi_max=5.0)
+    nt = steps_for_cfl(transport, grid, T)
+    assert steps_for_cfl(kinetic, grid, T) == nt
+    tgrid = TimeGrid(T, nt)
+    dW = increment_chunk(tgrid, 2, 15, 0, 3)
+    u0 = np.broadcast_to(u0_fn(grid.x), (3, grid.cells))
+    psi = 1.0 + 0.5 * np.sin(2 * np.pi * grid.x)
+    pairings = {"square": (psi, lambda u: u * u)}
+    a = _march(transport, grid, tgrid, u0, dW, pairings=pairings)
+    b = _march_claw(kinetic, grid, tgrid, u0, dW, pairings=pairings)
+    assert np.max(np.abs(a["final"] - b["final"])) <= 1e-10
+    assert np.max(np.abs(a["energy"] - b["energy"])) <= 1e-10
+    assert np.max(np.abs(a["traces"]["square"] - b["traces"]["square"])) <= 1e-10
+    assert np.max(np.abs(a["final"] - u0)) > 0.05  # the noise moved the state

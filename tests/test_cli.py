@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochlab.cli import main, parse_config, run
+from stochlab.cli import _run_claw, main, parse_config, run
 from stochlab.errors import ConfigurationError
 
 SMALL_CONFIG = """\
@@ -191,3 +191,44 @@ def test_main_reports_config_errors(tmp_path):
     cfg.write_text("[isometry]\nsamples = 10\n")  # seed missing
     status = main(["isometry", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert status == 2
+
+
+def test_run_claw_fills_schema_defaults():
+    # only the keys the kinetic acceptance criterion passes: flux, sigma and
+    # sigma_amplitude come from the schema defaults
+    rows = _run_claw({"seed": 11, "samples": 16, "cells": 32, "horizon": 0.1,
+                      "n_ladder": [2, 8, 16], "refine": 2, "det_cells": [32, 64],
+                      "shock_horizon": 0.2}, workers=1)
+    stats = {r.statistic for r in rows}
+    assert {"shock_speed", "ito_weak_gap", "ito_gap_ratio"} <= stats
+
+
+@pytest.mark.parametrize("section, text, extra, message", [
+    ("isometry", "seed = -3\nsamples = 10\n", [],
+     "bad value for 'seed' in [isometry]: must be non-negative"),
+    ("theorem21", "seed = 1\nsamples = 10\nn_ladder =\n", [],
+     "bad value for 'n_ladder' in [theorem21]: must be a non-empty list"),
+    ("isometry", "seed = 3\nsamples = 10\n", ["--seed-override=-3"],
+     "--seed-override must be non-negative, got -3"),
+], ids=["negative_seed", "empty_ladder", "negative_seed_override"])
+def test_bad_values_exit_2_with_configuration_error(tmp_path, capsys, section, text,
+                                                    extra, message):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\n{text}")
+    status = main([section, "--config", str(cfg), "--out", str(tmp_path / "o")] + extra)
+    assert status == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_failed_verdicts_name_n_value_and_stderr(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[counterexample]\nseed = 7\nsamples = 200\ntime_steps = 64\n"
+                   "which = sine\nsine_n_ladder = 4\ntolerance = 1e-9\n")
+    out = tmp_path / "out"
+    assert run(str(cfg), "counterexample", str(out), workers=1) == 1
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("FAILED verdicts"))
+    row = next(l.split(",") for l in (out / "counterexample.csv").read_text().splitlines()
+               if ",second_moment," in l)
+    assert row[9] == "fail"
+    assert f"counterexample:second_moment (n=4, value={row[5]}, stderr={row[6]})" in line

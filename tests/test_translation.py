@@ -4,7 +4,7 @@ import pytest
 from stochlab.errors import ConfigurationError
 from stochlab.translation import (EXACT_SLOPE, fit_translation_rate,
                                   standard_lag_ladder, translation_modulus)
-from stochlab.wiener import TimeGrid, sample_increment_block
+from stochlab.wiener import TimeGrid, increment_chunk
 
 GRID = TimeGrid(1.0, 1024)
 
@@ -54,7 +54,7 @@ def test_lag_snapping_flagged():
 
 
 def test_subadditivity_in_lag():
-    dW = sample_increment_block(GRID, 1, seed=31, replicas=64)[:, :, 0]
+    dW = increment_chunk(GRID, 1, 31, 0, 64)[:, :, 0]
     paths = np.concatenate([np.zeros((64, 1)), np.cumsum(dW, axis=1)], axis=1)
     for h in (1 / 256, 1 / 64, 1 / 16):
         m1 = translation_modulus(paths, GRID, h).value
@@ -72,7 +72,7 @@ def test_rate_fit_linear_ramp_slope_one():
 
 def test_rate_fit_martingale_slope_half():
     # F = int g dW with bounded deterministic g: E|F(t)-F(t-h)| ~ sqrt(h)
-    dW = sample_increment_block(GRID, 1, seed=33, replicas=512)[:, :, 0]
+    dW = increment_chunk(GRID, 1, 33, 0, 512)[:, :, 0]
     g = 1.0 + 0.5 * np.sin(2 * np.pi * GRID.left_nodes)
     F = np.concatenate([np.zeros((512, 1)), np.cumsum(g[None, :] * dW, axis=1)], axis=1)
     fit = fit_translation_rate({1: F}, GRID, standard_lag_ladder(GRID))

@@ -4,7 +4,7 @@ import pytest
 from stochlab.errors import ConfigurationError, GridMismatchError
 from stochlab.wiener import (CouplingSchedule, ReplicaDraw, TimeGrid, WienerPath,
                              aggregate_increments, couple, increment_chunk,
-                             initial_chunk, sample_increment_block,
+                             initial_chunk,
                              sample_wiener, sup_distance)
 
 
@@ -43,13 +43,13 @@ def test_regeneration_is_bit_identical():
 def test_terminal_variance_matches_unit_rate():
     # Var W(1) = 1, Monte Carlo at 1e4 replicas within 5%
     g = TimeGrid(1.0, 32)
-    finals = sample_increment_block(g, 1, seed=5, replicas=10_000).sum(axis=1)[:, 0]
+    finals = increment_chunk(g, 1, 5, 0, 10_000).sum(axis=1)[:, 0]
     assert abs(np.var(finals) - 1.0) < 0.05
 
 
 def test_increment_lag1_autocorrelation_near_zero():
     g = TimeGrid(1.0, 64)
-    dW = sample_increment_block(g, 1, seed=9, replicas=10_000)[:, :, 0]
+    dW = increment_chunk(g, 1, 9, 0, 10_000)[:, :, 0]
     x, y = dW[:, :-1].ravel(), dW[:, 1:].ravel()
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 0.03
