@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 
@@ -11,7 +9,7 @@ def pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum along `axis` with a fixed binary-tree order.
 
     The tree splits at the midpoint recursively, so the result is bitwise
-    independent of how the entries were produced (worker count, chunking).
+    independent of how the entries were produced (replica chunk size included).
     """
     a = np.asarray(a)
     a = np.moveaxis(a, axis, 0)
@@ -53,24 +51,14 @@ def max_y_gap(ys: np.ndarray, samples: np.ndarray) -> tuple[float, float]:
     return best
 
 
-def map_chunks(fn, n_items: int, workers: int = 1, chunk: int | None = None) -> list:
-    """Apply fn(lo, hi) over [0, n_items) in contiguous chunks, in index order.
+def map_chunks(fn, n_items: int, chunk: int) -> list:
+    """Apply fn(lo, hi) over [0, n_items) in contiguous chunks of `chunk` items, in order.
 
-    Thread-based: the heavy work is vectorised numpy, which releases the GIL.
-    Results are returned ordered by chunk index, so downstream pairwise
-    reductions see the same operand order for any worker count.
+    Chunking bounds the memory of one call; the results come back in index
+    order, so downstream pairwise reductions see the same operand order for
+    any chunk size.
     """
-    if n_items <= 0:
-        return []
-    workers = max(1, int(workers))
-    if chunk is None:
-        chunk = max(1, -(-n_items // max(workers, 1)))
-    bounds = [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
-    if workers == 1 or len(bounds) == 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futures]
+    return [fn(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
 
 
 def trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:

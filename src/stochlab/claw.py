@@ -28,7 +28,8 @@ from ._util import gauss_on_intervals, max_y_gap, pairwise_sum
 from .errors import ConfigurationError, RangeEscapeError
 from .processes import TestFunction, spectral_prolong
 from .transport import (TorusGrid, _explicit_march, _initial_state, _ladder_draws,
-                        _ladder_grids, _ladder_map, _check_monitors, translation_ensembles)
+                        _ladder_grids, _check_monitors, _noise_once_per_state,
+                        translation_ensembles)
 from .mollify import bump, bump_derivative
 from .wiener import CouplingSchedule, TimeGrid, WienerPath
 
@@ -314,11 +315,19 @@ class ClawPath:
         return pairwise_sum(self.values, axis=1) / self.grid.cells
 
 
-def _entropy_flux(flux: FluxFamily, kappa: float, left: np.ndarray,
+def _entropy_flux(flux: FluxFamily, kappa: float | np.ndarray, left: np.ndarray,
                   right: np.ndarray) -> np.ndarray:
-    """Numerical Kruzkov entropy flux: EO applied to u v kappa minus u ^ kappa."""
-    return (flux.interface(np.maximum(left, kappa), np.maximum(right, kappa))
-            - flux.interface(np.minimum(left, kappa), np.minimum(right, kappa)))
+    """Numerical Kruzkov entropy flux: EO applied to u v kappa minus u ^ kappa.
+
+    kappa may be an array of levels that broadcasts against left and right.
+    The EO parts are pointwise, so each is evaluated once on the states and
+    once on the levels, and u v kappa and u ^ kappa pick their values.
+    """
+    left_above, right_above = left >= kappa, right >= kappa
+    plus_u, plus_k = flux.eo_plus(left), flux.eo_plus(kappa)
+    minus_u, minus_k = flux.eo_minus(right), flux.eo_minus(kappa)
+    return ((np.where(left_above, plus_u, plus_k) + np.where(right_above, minus_u, minus_k))
+            - (np.where(left_above, plus_k, plus_u) + np.where(right_above, minus_k, minus_u)))
 
 
 def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
@@ -370,16 +379,19 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
         adv = (f_iface - np.roll(f_iface, 1, axis=-1)) * (dt / dx)
         u_adv = u - adv
         # Kruzkov bookkeeping on the flux sub-step: the level-kappa defect
-        # density is half the clipped residual of the discrete entropy balance
+        # density is half the clipped residual of the discrete entropy balance,
+        # for all levels at once on a trailing axis
         if measuring:
-            deposits = np.empty(lead + (grid.cells, problem.kappa_levels))
-            for l, kap in enumerate(kappa):
-                h_iface = _entropy_flux(flux, kap, left, right)
-                eta_balance = np.abs(u - kap) - (h_iface - np.roll(h_iface, 1, axis=-1)) * (dt / dx)
-                r = eta_balance - np.abs(u_adv - kap)
-                clamped += float(np.sum(np.minimum(r, 0.0)))
-                deposits[..., l] = np.maximum(r, 0.0) * (0.5 * dx * dkappa)
-        lap = (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / dx ** 2
+            h_iface = _entropy_flux(flux, kappa, left[..., None], right[..., None])
+            eta_balance = (np.abs(u[..., None] - kappa)
+                           - (h_iface - np.roll(h_iface, 1, axis=-2)) * (dt / dx))
+            r = eta_balance - np.abs(u_adv[..., None] - kappa)
+            if measure_detail:
+                for l in range(len(kappa)):
+                    clamped += float(np.sum(np.minimum(r[..., l], 0.0)))
+            # C order, as before: the step_mass and measure-pairing sums follow it
+            deposits = np.ascontiguousarray(np.maximum(r, 0.0) * (0.5 * dx * dkappa))
+        lap = (right - 2.0 * u + np.roll(u, 1, axis=-1)) / dx ** 2
         u_new = u_adv + eps * dt * lap
         if dW is not None and sigma is not None:
             u_new = u_new + np.einsum("...xk,...k->...x", sigma(u), dW[..., j, :])
@@ -595,8 +607,7 @@ def kinetic_stability_experiment(problems: dict[int, KineticProblem],
                                  grid: TorusGrid, horizon: float,
                                  replicas: int, seed: int,
                                  phi: KineticTestFunction,
-                                 refine: int = 4,
-                                 workers: int = 1) -> KineticStabilityReport:
+                                 refine: int = 4) -> KineticStabilityReport:
     """Kinetic ladder against the fine-mesh inviscid limit solve.
 
     Per n it reports the weak gap of the kinetic stochastic integral (the
@@ -623,63 +634,52 @@ def kinetic_stability_experiment(problems: dict[int, KineticProblem],
 
     chi_fn = chi_pairing_fn(phi, limit.window)
 
-    def chunk(lo, hi):
-        m = hi - lo
-        dWf, coupled, _, _, ys = _ladder_draws(fine_tgrid, k, seed, lo, hi, refine, schedule)
-        ref = _march_claw(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, m), dWf,
-                          pairings={"ito": (psi_fine, ito_pairing_fn(limit, phi)),
-                                    "chi": (psi_fine, chi_fn)})
-        ref_ito = np.sum(ref["traces"]["ito"][:, :-1, :] * dWf, axis=(1, 2))
-        # chi weak-star pairing at the coarse left nodes (shared path times)
-        ref_chi = ref["traces"]["chi"][:, :-1:refine, 0]
+    dWf, coupled, _, _, ys = _ladder_draws(fine_tgrid, k, seed, replicas, refine, schedule)
+    limit = _noise_once_per_state(limit)
+    ref = _march_claw(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, replicas),
+                      dWf, pairings={"ito": (psi_fine, ito_pairing_fn(limit, phi)),
+                                     "chi": (psi_fine, chi_fn)})
+    ref_ito = np.sum(ref["traces"]["ito"][:, :-1, :] * dWf, axis=(1, 2))
+    # chi weak-star pairing at the coarse left nodes (shared path times)
+    ref_chi = ref["traces"]["chi"][:, :-1:refine, 0]
 
-        out = {}
-        for n in n_values:
-            pn = problems[n]
-            dWn = coupled(n)
-            res = _march_claw(pn, grid, tgrid, _initial_state(pn, grid, m), dWn,
-                              pairings={"ito": (phi.psi.values, ito_pairing_fn(pn, phi)),
-                                        "chi": (phi.psi.values, chi_fn)},
-                              measure_pairing=(phi.psi.values, phi.zeta_prime))
-            i_n = np.sum(res["traces"]["ito"][:, :-1, :] * dWn, axis=(1, 2)) - ref_ito
-            chi_n = res["traces"]["chi"][:, :-1, 0] - ref_chi
-            chi_rows = np.stack([chi_n @ (zd * tgrid.dt) for zd in chi_duals], axis=1)
-            m_pair = res["m_trace"][:, :-1] @ (np.ones(nt) * tgrid.dt)
-            mass = res["step_mass"].sum(axis=1)
-            out[n] = dict(i_n=i_n, chi_rows=chi_rows, m_pair=m_pair, mass=mass,
-                          ys=ys, trace=res["traces"]["ito"])
-        return out
-
-    joined = _ladder_map(chunk, replicas, workers, n_values)
     for n in n_values:
-        c = joined[n]
-        ys, chi_rows = c["ys"], c["chi_rows"]
-        report.translation_traces[n] = c["trace"]
+        pn = _noise_once_per_state(problems[n])
+        dWn = coupled(n)
+        res = _march_claw(pn, grid, tgrid, _initial_state(pn, grid, replicas), dWn,
+                          pairings={"ito": (phi.psi.values, ito_pairing_fn(pn, phi)),
+                                    "chi": (phi.psi.values, chi_fn)},
+                          measure_pairing=(phi.psi.values, phi.zeta_prime))
+        report.translation_traces[n] = res["traces"]["ito"]
+        i_n = np.sum(res["traces"]["ito"][:, :-1, :] * dWn, axis=(1, 2)) - ref_ito
+        chi_n = res["traces"]["chi"][:, :-1, 0] - ref_chi
+        chi_rows = np.stack([chi_n @ (zd * tgrid.dt) for zd in chi_duals], axis=1)
+        m_pair = res["m_trace"][:, :-1] @ (np.ones(nt) * tgrid.dt)
+        mass = res["step_mass"].sum(axis=1)
 
-        ito_gap, ito_se = max_y_gap(ys, c["i_n"])
+        ito_gap, ito_se = max_y_gap(ys, i_n)
         chi_best = (0.0, 0.0)
         for col in range(chi_rows.shape[1]):
             g, se = max_y_gap(ys, chi_rows[:, col])
             if g >= chi_best[0]:
                 chi_best = (g, se)
-        m_gap, _ = max_y_gap(ys, c["m_pair"])
+        m_gap, _ = max_y_gap(ys, m_pair)
         report.entries.append(KineticStabilityEntry(
             n, ito_gap, ito_se, chi_best[0], chi_best[1], m_gap,
-            float(pairwise_sum(c["mass"]) / replicas), monitor_rows[n]))
+            float(pairwise_sum(mass) / replicas), monitor_rows[n]))
     return report.finalize()
 
 
 def claw_translation_ensembles(problem_of_n: Callable[[int], KineticProblem],
                                n_values: list[int], grid: TorusGrid,
                                tgrid: TimeGrid, replicas: int, seed: int,
-                               phi: KineticTestFunction,
-                               workers: int = 1) -> dict[int, np.ndarray]:
+                               phi: KineticTestFunction) -> dict[int, np.ndarray]:
     """Kinetic Ito-integrand pairing traces for the translation-rate fits."""
     def theta_of(pn):
         phi.validate_support(pn.window)
         return ito_pairing_fn(pn, phi)
     return translation_ensembles(_march_claw, problem_of_n, theta_of, phi.psi.values,
-                                 n_values, grid, tgrid, replicas, seed, workers)
+                                 n_values, grid, tgrid, replicas, seed)
 
 
 def burgers_riemann(levels: tuple[float, float] = (1.0, 0.0),

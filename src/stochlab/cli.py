@@ -1,4 +1,4 @@
-"""Experiment orchestration: config parsing, dispatch, seeds, workers, CSV reports.
+"""Experiment orchestration: config parsing, dispatch, seeds, CSV reports.
 
 Config files are INI-style: bracketed section headers name experiments, lines
 are `key = value`, numeric lists are comma-separated. Every run writes one CSV
@@ -6,10 +6,10 @@ per experiment with the fixed column set
 
     experiment, n, rho, h, statistic, value, stderr, samples, seed, verdict
 
-and exits 0 iff every verdict-bearing row passed. Reruns with identical
-config bytes produce identical CSV bytes at any worker count: replica streams
-are indexed, reductions are pairwise over replica-ordered arrays, and floats
-are formatted with a fixed %.12g.
+and exits 0 iff every verdict-bearing row passed. Runs are single-threaded.
+Reruns with identical config bytes produce identical CSV bytes: replica
+streams are indexed, reductions are pairwise over replica-ordered arrays, and
+floats are formatted with a fixed %.12g.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import configparser
 import csv
 import io
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,8 +119,23 @@ def _list_of(item):
     return parse
 
 
-_int_list = _list_of(int)
+_pos_int_list = _list_of(_pos_int)
 _float_list = _list_of(_fraction)
+
+
+def _ladder(v):
+    """An n or cell ladder whose rows compare its first and last entries."""
+    items = _pos_int_list(v)
+    if len(items) < 2 or any(b <= a for a, b in zip(items, items[1:])):
+        raise ValueError("must be strictly increasing with at least 2 entries")
+    return items
+
+
+def _lag_ladder(v):
+    items = _float_list(v)
+    if len(items) < 2:
+        raise ValueError("must have at least 2 entries")
+    return items
 
 
 def _choice(*options):
@@ -154,8 +168,8 @@ SCHEMAS: dict[str, dict] = {
         "samples": (_pos_int, _REQUIRED),       # replicas per family member
         "cells": (_pos_int, 128),
         "time_steps": (_pos_int, 2048),
-        "n_ladder": (_int_list, [32, 64, 128]),
-        "h_ladder": (_float_list, [2.0 ** (-e) for e in range(8, 2, -1)]),
+        "n_ladder": (_pos_int_list, [32, 64, 128]),
+        "h_ladder": (_lag_ladder, [2.0 ** (-e) for e in range(8, 2, -1)]),
         "slope_min": (_float, 0.4),
         "uniformity_max": (_float, 1.5),
     },
@@ -164,15 +178,15 @@ SCHEMAS: dict[str, dict] = {
         "samples": (_pos_int, _REQUIRED),
         "which": (_choice("sine", "spike", "both"), "both"),
         "time_steps": (_pos_int, 512),
-        "sine_n_ladder": (_int_list, [4, 16, 64]),
-        "spike_n_ladder": (_int_list, [4, 16]),
+        "sine_n_ladder": (_pos_int_list, [4, 16, 64]),
+        "spike_n_ladder": (_pos_int_list, [4, 16]),
         "tolerance": (_pos_float, 0.03),
     },
     "theorem21": {
         "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),
         "time_steps": (_pos_int, 256),
-        "n_ladder": (_int_list, [1, 4, 16]),
+        "n_ladder": (_ladder, [1, 4, 16]),
         "rho_ladder": (_float_list, [0.2, 0.1, 0.05]),
         "rho_n": (_pos_int, 4),
         "decomposition_samples": (_pos_int, 2000),
@@ -182,7 +196,7 @@ SCHEMAS: dict[str, dict] = {
         "samples": (_pos_int, _REQUIRED),
         "time_steps": (_pos_int, 256),
         "cells": (_pos_int, 64),
-        "n_ladder": (_int_list, [2, 8, 32]),
+        "n_ladder": (_ladder, [2, 8, 32]),
         "ratio_max": (_pos_float, 0.25),
         "growth_factor": (_pos_float, 2.0),
     },
@@ -190,7 +204,7 @@ SCHEMAS: dict[str, dict] = {
         "seed": (_seed, _REQUIRED),
         "samples": (_pos_int, _REQUIRED),
         "time_steps": (_pos_int, 256),
-        "n_ladder": (_int_list, [2, 8, 32]),
+        "n_ladder": (_ladder, [2, 8, 32]),
         "rho": (_pos_float, 0.1),
     },
     "transport": {
@@ -198,12 +212,12 @@ SCHEMAS: dict[str, dict] = {
         "samples": (_pos_int, _REQUIRED),       # replicas
         "cells": (_pos_int, 128),
         "horizon": (_pos_float, 0.25),
-        "n_ladder": (_int_list, [2, 8, 32]),
+        "n_ladder": (_ladder, [2, 8, 32]),
         "snapshots": (_pos_int, 64),
         "refine": (_pos_int, 4),
         "velocity": (_choice("smooth", "constant"), "smooth"),
         "velocity_scale": (_float, 0.5),
-        "noise": (_choice("state", "additive", "none"), "state"),
+        "noise": (_choice("state", "additive"), "state"),
         "noise_amplitude": (_float, 0.15),
     },
     "claw": {
@@ -211,9 +225,9 @@ SCHEMAS: dict[str, dict] = {
         "samples": (_pos_int, _REQUIRED),       # replicas for the ladder
         "cells": (_pos_int, 64),
         "horizon": (_pos_float, 0.2),
-        "n_ladder": (_int_list, [2, 8, 16]),
+        "n_ladder": (_ladder, [2, 8, 16]),
         "refine": (_pos_int, 4),
-        "det_cells": (_int_list, [64, 128]),
+        "det_cells": (_ladder, [64, 128]),
         "shock_horizon": (_pos_float, 0.3),
         "flux": (_choice("burgers", "cubic", "linear"), "burgers"),
         "sigma": (_choice("bounded_smooth", "constant"), "bounded_smooth"),
@@ -283,7 +297,7 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _run_isometry(p: dict, workers: int) -> list[Row]:
+def _run_isometry(p: dict) -> list[Row]:
     p = apply_defaults("isometry", p)
     seed, samples, nt = p["seed"], p["samples"], p["time_steps"]
     grid = TimeGrid(1.0, nt)
@@ -305,7 +319,7 @@ def _run_isometry(p: dict, workers: int) -> list[Row]:
         members["osc_sine"] = (np.sum(f * dW, axis=1), np.sum(f ** 2, axis=1) * dt)
         return {k: (i ** 2, q) for k, (i, q) in members.items()}
 
-    parts = map_chunks(chunk, samples, workers, chunk=16384)
+    parts = map_chunks(chunk, samples, chunk=16384)
     rows = []
     for name in ("ramp", "unit", "wiener", "osc_sine"):
         sq = np.concatenate([c[name][0] for c in parts])
@@ -327,7 +341,7 @@ def _run_isometry(p: dict, workers: int) -> list[Row]:
     return rows
 
 
-def _run_mollifier(p: dict, workers: int) -> list[Row]:
+def _run_mollifier(p: dict) -> list[Row]:
     p = apply_defaults("mollifier", p)
     seed, pairs, nt = p["seed"], p["samples"], p["time_steps"]
     grid = TimeGrid(1.0, nt)
@@ -398,7 +412,7 @@ def _claw_translation_problem(n: int):
         xi_min=-1.4, xi_max=2.4)
 
 
-def _run_translate(p: dict, workers: int) -> list[Row]:
+def _run_translate(p: dict) -> list[Row]:
     p = apply_defaults("translate", p)
     seed, replicas = p["seed"], p["samples"]
     tgrid = TimeGrid(1.0, p["time_steps"])
@@ -408,11 +422,11 @@ def _run_translate(p: dict, workers: int) -> list[Row]:
     systems = {
         "transport": transport_mod.transport_translation_ensembles(
             _transport_translation_problem, p["n_ladder"], grid, tgrid,
-            replicas, seed, workers=workers),
+            replicas, seed),
         "claw": claw_mod.claw_translation_ensembles(
             _claw_translation_problem, p["n_ladder"], grid, tgrid, replicas,
             seed + 1, phi=claw_mod.bump_test_function(
-                TestFunction.one(p["cells"]), -1.1, 2.1), workers=workers),
+                TestFunction.one(p["cells"]), -1.1, 2.1)),
     }
     for name, ensembles in systems.items():
         fit = fit_translation_rate(ensembles, tgrid, lags)
@@ -431,7 +445,7 @@ def _run_translate(p: dict, workers: int) -> list[Row]:
     return rows
 
 
-def _run_counterexample(p: dict, workers: int) -> list[Row]:
+def _run_counterexample(p: dict) -> list[Row]:
     p = apply_defaults("counterexample", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
@@ -440,8 +454,7 @@ def _run_counterexample(p: dict, workers: int) -> list[Row]:
     rows = []
     if p["which"] in ("sine", "both"):
         for n in p["sine_n_ladder"]:
-            rep = lab.counterexample_sine(n, Ensemble(seed, samples), grid, sched,
-                                          workers=workers)
+            rep = lab.counterexample_sine(n, Ensemble(seed, samples), grid, sched)
             rows.append(Row("counterexample", "second_moment", rep.second_moment,
                             n=n, stderr=rep.stderr, samples=samples, seed=seed,
                             verdict=_verdict(abs(rep.second_moment - 0.25) <= tol * 0.25)))
@@ -451,8 +464,7 @@ def _run_counterexample(p: dict, workers: int) -> list[Row]:
                                 verdict=_verdict(abs(val) <= 3 * se)))
     if p["which"] in ("spike", "both"):
         for n in p["spike_n_ladder"]:
-            rep = lab.counterexample_spike(n, Ensemble(seed, samples), grid, sched,
-                                           workers=workers)
+            rep = lab.counterexample_spike(n, Ensemble(seed, samples), grid, sched)
             rows.append(Row("counterexample", "spike_variance", rep.variance, n=n,
                             stderr=rep.variance_stderr, samples=samples, seed=seed,
                             verdict=_verdict(abs(rep.variance - 1.0) <= tol)))
@@ -479,7 +491,7 @@ def _unit_limit(draw):
     return AdaptedProcess(draw.W.grid, np.ones(draw.W.grid.steps), "scalar")
 
 
-def _run_theorem21(p: dict, workers: int) -> list[Row]:
+def _run_theorem21(p: dict) -> list[Row]:
     p = apply_defaults("theorem21", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
@@ -521,7 +533,7 @@ def _run_theorem21(p: dict, workers: int) -> list[Row]:
     return rows
 
 
-def _run_l1mode(p: dict, workers: int) -> list[Row]:
+def _run_l1mode(p: dict) -> list[Row]:
     p = apply_defaults("l1mode", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
@@ -556,7 +568,7 @@ def _run_l1mode(p: dict, workers: int) -> list[Row]:
     return rows
 
 
-def _run_corollary42(p: dict, workers: int) -> list[Row]:
+def _run_corollary42(p: dict) -> list[Row]:
     p = apply_defaults("corollary42", p)
     seed, samples = p["seed"], p["samples"]
     grid = TimeGrid(1.0, p["time_steps"])
@@ -604,8 +616,6 @@ def _transport_velocity(family: str, scale: float, n: int | None):
 
 
 def _transport_noise(family: str, amplitude: float, cells: int):
-    if family == "none":
-        return None
     if family == "additive":
         x = np.arange(cells) / cells
         values = amplitude * np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)], axis=1)
@@ -625,7 +635,7 @@ def _transport_problem(p: dict, n: int | None):
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5 + 0.1 * wobble * np.sin(2 * np.pi * x))
 
 
-def _run_transport(p: dict, workers: int) -> list[Row]:
+def _run_transport(p: dict) -> list[Row]:
     p = apply_defaults("transport", p)
     seed, replicas = p["seed"], p["samples"]
     grid = transport_mod.TorusGrid(p["cells"])
@@ -633,7 +643,7 @@ def _run_transport(p: dict, workers: int) -> list[Row]:
         {n: _transport_problem(p, n) for n in p["n_ladder"]},
         _transport_problem(p, None),
         CouplingSchedule(), grid, p["horizon"], replicas, seed,
-        refine=p["refine"], snapshots=p["snapshots"], workers=workers)
+        refine=p["refine"], snapshots=p["snapshots"])
     rows = []
     for e in report.entries:
         rows.append(Row("transport", "lp_distance", e.lp_distance, n=e.n,
@@ -698,7 +708,7 @@ def _claw_problem(p: dict, n: int | None):
         xi_min=-1.2, xi_max=2.2)
 
 
-def _run_claw(p: dict, workers: int) -> list[Row]:
+def _run_claw(p: dict) -> list[Row]:
     p = apply_defaults("claw", p)
     seed, replicas = p["seed"], p["samples"]
     rows = []
@@ -748,7 +758,7 @@ def _run_claw(p: dict, workers: int) -> list[Row]:
     report = claw_mod.kinetic_stability_experiment(
         {n: _claw_problem(p, n) for n in p["n_ladder"]}, _claw_problem(p, None),
         CouplingSchedule(), transport_mod.TorusGrid(p["cells"]), p["horizon"],
-        replicas, seed, phi, refine=p["refine"], workers=workers)
+        replicas, seed, phi, refine=p["refine"])
     for e in report.entries:
         rows.append(Row("claw", "ito_weak_gap", e.ito_gap, n=e.n,
                         stderr=e.ito_gap_stderr, samples=replicas, seed=seed))
@@ -804,14 +814,19 @@ def _failure(name: str, row: Row) -> str:
 
 def run(config_path: str, subcommand: str, out_dir: str,
         workers: int | None = None, seed_override: int | None = None) -> int:
-    """Execute one subcommand (or all); returns the process exit status."""
+    """Execute one subcommand (or all); returns the process exit status.
+
+    `workers` is accepted for compatibility and must be >= 1; it changes
+    neither threads nor results, since every run is single-threaded.
+    """
     if subcommand not in EXPERIMENTS + ["all"]:
         raise ConfigurationError(
             f"unknown subcommand {subcommand!r}; accepted: {EXPERIMENTS + ['all']}")
     if seed_override is not None and seed_override < 0:
         raise ConfigurationError(f"--seed-override must be non-negative, got {seed_override}")
+    if workers is not None and workers < 1:
+        raise ConfigurationError("--workers must be >= 1")
     plan = parse_config(Path(config_path).read_text())
-    workers = workers if workers and workers > 0 else (os.cpu_count() or 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -837,7 +852,7 @@ def run(config_path: str, subcommand: str, out_dir: str,
         params = dict(plan[name])
         if seed_override is not None:
             params["seed"] = seed_override
-        rows = RUNNERS[name](params, workers)
+        rows = RUNNERS[name](params)
         _write_csv(out / f"{name}.csv", rows)
         all_rows.extend(rows)
         failures.extend(_failure(name, r) for r in rows if r.verdict == "fail")
@@ -858,7 +873,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="INI experiment config")
     parser.add_argument("--out", required=True, help="output directory for CSV reports")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker cap (default: available cores)")
+                        help="accepted for compatibility (>= 1); changes neither "
+                             "threads nor results")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="override every section seed")
     args = parser.parse_args(argv)

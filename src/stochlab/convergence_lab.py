@@ -382,8 +382,7 @@ _CHUNK = 16384
 
 
 def counterexample_sine(n: int, ensemble: Ensemble, grid: TimeGrid,
-                        schedule: CouplingSchedule | None = None,
-                        workers: int = 1) -> SineCounterexampleReport:
+                        schedule: CouplingSchedule | None = None) -> SineCounterexampleReport:
     """F_n = sin(2 pi n omega_0) sin(2 pi n t) on [0, 1], driven by W_n.
 
     The family is weakly null in every pairing, yet E |int F_n dW_n|^2 equals
@@ -413,7 +412,7 @@ def counterexample_sine(n: int, ensemble: Ensemble, grid: TimeGrid,
         pair_cols = [np.sum(f * g[None, :], axis=1) * grid.dt for g in duals.values()]
         return integrals ** 2, np.column_stack(pair_cols)
 
-    parts = map_chunks(chunk, ensemble.replicas, workers, chunk=_CHUNK)
+    parts = map_chunks(chunk, ensemble.replicas, chunk=_CHUNK)
     sq = np.concatenate([p[0] for p in parts])
     pair_samples = np.vstack([p[1] for p in parts])
     moment, se = mean_and_stderr(sq)
@@ -423,8 +422,7 @@ def counterexample_sine(n: int, ensemble: Ensemble, grid: TimeGrid,
 
 
 def counterexample_spike(n: int, ensemble: Ensemble, grid: TimeGrid,
-                         schedule: CouplingSchedule | None = None,
-                         workers: int = 1) -> SpikeCounterexampleReport:
+                         schedule: CouplingSchedule | None = None) -> SpikeCounterexampleReport:
     """f_n = sqrt(n) 1_{[0, 1/n)} on [0, 1]: the integral is sqrt(n) W_n(1/n).
 
     Brownian scaling makes it a standard normal for every n, although f_n is
@@ -451,7 +449,7 @@ def counterexample_spike(n: int, ensemble: Ensemble, grid: TimeGrid,
             dWn = dW
         return root_n * np.sum(dWn, axis=1)
 
-    parts = map_chunks(chunk, ensemble.replicas, workers, chunk=_CHUNK)
+    parts = map_chunks(chunk, ensemble.replicas, chunk=_CHUNK)
     integrals = np.concatenate(parts)
     mean, mean_se = mean_and_stderr(integrals)
     centred_sq = (integrals - mean) ** 2

@@ -19,12 +19,12 @@ sign-definite statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from ._util import (map_chunks, max_y_gap, mean_and_stderr, pairwise_sum,
+from ._util import (max_y_gap, mean_and_stderr, pairwise_sum,
                     trapezoid_weights)
 from .errors import CFLError, ConfigurationError, SolverBlowupError
 from .processes import (ExponentSet, TestFunction, spectral_derivative,
@@ -257,9 +257,10 @@ def _march(problem: TransportProblem, grid: TorusGrid, tgrid: TimeGrid,
         noise = None
 
     def step(j, u):
-        flux = bp * u + bm * np.roll(u, -1, axis=-1)
+        right = np.roll(u, -1, axis=-1)
+        flux = bp * u + bm * right
         div = (flux - np.roll(flux, 1, axis=-1)) / dx
-        lap = (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / dx ** 2
+        lap = (right - 2.0 * u + np.roll(u, 1, axis=-1)) / dx ** 2
         incr = -dt * div + eps * dt * lap + dt * f_cells
         if isinstance(noise, AdditiveNoise):
             incr = incr + np.einsum("xk,...k->...x", noise.values, dW[..., j, :])
@@ -432,19 +433,20 @@ def _check_monitors(report, monitor_rows: dict[int, dict], n_values: list[int]) 
             report.notes.append(f"hypothesis monitor {key} not improving along the ladder")
 
 
-def _ladder_draws(fine_tgrid: TimeGrid, k: int, seed: int, lo: int, hi: int,
+def _ladder_draws(fine_tgrid: TimeGrid, k: int, seed: int, replicas: int,
                   refine: int, schedule: CouplingSchedule):
-    """Randomness of replicas lo..hi-1 in a coupled ladder.
+    """Randomness of replicas 0..replicas-1 in a coupled ladder.
 
     Returns the fine increments, coupled(n) -> coarse increments of W_n (block
     sums of the fine ones, mixed with B), omega0, W_T and the test-variable
     matrix.
     """
-    dWf = increment_chunk(fine_tgrid, k, seed, lo, hi)
+    dWf = increment_chunk(fine_tgrid, k, seed, 0, replicas)
     dW = aggregate_increments(dWf, refine)
     if schedule.kind != "identity":
-        dB = aggregate_increments(increment_chunk(fine_tgrid, k, seed, lo, hi, stream=1), refine)
-    omega0, _ = initial_chunk(seed, lo, hi)
+        dB = aggregate_increments(increment_chunk(fine_tgrid, k, seed, 0, replicas, stream=1),
+                                  refine)
+    omega0, _ = initial_chunk(seed, 0, replicas)
 
     def coupled(n):
         a = schedule.coefficient(n)
@@ -454,14 +456,6 @@ def _ladder_draws(fine_tgrid: TimeGrid, k: int, seed: int, lo: int, hi: int,
     w_half = dWf[:, : fine_tgrid.steps // 2, 0].sum(axis=1)
     ys = _test_variable_matrix(omega0, w_final, w_half, fine_tgrid.horizon)
     return dWf, coupled, omega0, w_final, ys
-
-
-def _ladder_map(chunk: Callable, replicas: int, workers: int,
-                n_values: list[int]) -> dict[int, dict[str, np.ndarray]]:
-    """Run chunk(lo, hi) -> {n: {name: array}} over the replicas; join in replica order."""
-    chunks = map_chunks(chunk, replicas, workers)
-    return {n: {key: np.concatenate([c[n][key] for c in chunks]) for key in chunks[0][n]}
-            for n in n_values}
 
 
 def _initial_state(problem, grid: TorusGrid, replicas: int) -> np.ndarray:
@@ -483,6 +477,28 @@ def _renorm_theta(problem: TransportProblem) -> Callable:
     return lambda u: u[..., None] * sigma(u)
 
 
+def _noise_once_per_state(problem):
+    """A copy of a TransportProblem or claw.KineticProblem whose state noise is
+    evaluated once per state of a march.
+
+    The step and every pairing ask for sigma(u) of the same state array, which
+    a march never writes to, so the copy gives back its last value while it is
+    asked about that array: the same numbers from one evaluation per state.
+    Additive or absent noise is returned as it is.
+    """
+    name = "noise" if isinstance(problem, TransportProblem) else "sigma"
+    noise = getattr(problem, name)
+    if not hasattr(noise, "fn"):
+        return problem
+    fn, last = noise.fn, [None, None]
+
+    def once(u):
+        if u is not last[0]:
+            last[:] = u, fn(u)
+        return last[1]
+    return replace(problem, **{name: replace(noise, fn=once)})
+
+
 def stability_experiment(problems: dict[int, TransportProblem],
                          limit: TransportProblem,
                          schedule: CouplingSchedule,
@@ -490,7 +506,6 @@ def stability_experiment(problems: dict[int, TransportProblem],
                          replicas: int, seed: int,
                          psi: TestFunction | None = None,
                          refine: int = 4, snapshots: int = 64,
-                         workers: int = 1,
                          sign_slack: float = 3.0) -> TransportStabilityReport:
     """Viscous-ladder stability runs against the fine-mesh limit solve.
 
@@ -529,61 +544,49 @@ def stability_experiment(problems: dict[int, TransportProblem],
     dx, dt = grid.dx, tgrid.dt
     snap_w = trapezoid_weights(len(snap_local), horizon / snapshots)
 
-    def chunk(lo, hi):
-        m = hi - lo
-        dWf, coupled, omega0, w_final, ys = _ladder_draws(fine_tgrid, k, seed, lo, hi,
-                                                          refine, schedule)
-        psi_fine = spectral_prolong(psi.values, refine)
-        ref = _march(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, m),
-                     dWf if limit.noise else None,
-                     pairings={"sigma": (psi_fine, _sigma_theta(limit)),
-                               "renorm": (psi_fine, _renorm_theta(limit))},
-                     snap_idx=snap_fine)
-        ref_snaps = ref["snapshots"][:, :, ::refine]
-        ref_sigma = np.sum(ref["traces"]["sigma"][:, :-1, :] * dWf, axis=(1, 2))
-        ref_renorm = np.sum(ref["traces"]["renorm"][:, :-1, :] * dWf, axis=(1, 2))
-        nonneg_ys = np.stack([np.ones(m), w_final ** 2, 1.0 + np.sin(2 * np.pi * omega0)], axis=1)
+    dWf, coupled, omega0, w_final, ys = _ladder_draws(fine_tgrid, k, seed, replicas,
+                                                      refine, schedule)
+    psi_fine = spectral_prolong(psi.values, refine)
+    limit = _noise_once_per_state(limit)
+    ref = _march(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, replicas), dWf,
+                 pairings={"sigma": (psi_fine, _sigma_theta(limit)),
+                           "renorm": (psi_fine, _renorm_theta(limit))},
+                 snap_idx=snap_fine)
+    ref_snaps = ref["snapshots"][:, :, ::refine]
+    ref_sigma = np.sum(ref["traces"]["sigma"][:, :-1, :] * dWf, axis=(1, 2))
+    ref_renorm = np.sum(ref["traces"]["renorm"][:, :-1, :] * dWf, axis=(1, 2))
+    nonneg = np.stack([np.ones(replicas), w_final ** 2, 1.0 + np.sin(2 * np.pi * omega0)], axis=1)
 
-        out = {}
-        for n in n_values:
-            pn = problems[n]
-            dWn = coupled(n)
-            res = _march(pn, grid, tgrid, _initial_state(pn, grid, m), dWn if pn.noise else None,
-                         pairings={"sigma": (psi.values, _sigma_theta(pn)),
-                                   "renorm": (psi.values, _renorm_theta(pn))},
-                         snap_idx=snap_local)
-            diff = res["snapshots"] - ref_snaps
-            lp_pow = np.einsum("rsx,s->r", np.abs(diff) ** p, snap_w) * dx
-            # coarse-node Ito sums of the paired integrands
-            tr_sig = res["traces"]["sigma"][:, :-1, :]
-            tr_ren = res["traces"]["renorm"][:, :-1, :]
-            i_sigma = np.sum(tr_sig * dWn, axis=(1, 2)) - ref_sigma
-            i_renorm = np.sum(tr_ren * dWn, axis=(1, 2)) - ref_renorm
-            energy_sup = 2.0 * res["energy"].max(axis=1)
-            # sign monitor: F = -int eta(u) dx <= 0 pathwise
-            f_int = -np.sum(res["energy"], axis=1) * dt
-            out[n] = dict(lp_pow=lp_pow, i_sigma=i_sigma, i_renorm=i_renorm,
-                          energy_sup=energy_sup, f_int=f_int, ys=ys,
-                          nonneg_ys=nonneg_ys, renorm_trace=res["traces"]["renorm"])
-        return out
-
-    joined = _ladder_map(chunk, replicas, workers, n_values)
     for n in n_values:
-        c = joined[n]
-        ys, nonneg = c["ys"], c["nonneg_ys"]
-        report.pairing_traces[n] = c["renorm_trace"]
+        pn = _noise_once_per_state(problems[n])
+        dWn = coupled(n)
+        res = _march(pn, grid, tgrid, _initial_state(pn, grid, replicas), dWn,
+                     pairings={"sigma": (psi.values, _sigma_theta(pn)),
+                               "renorm": (psi.values, _renorm_theta(pn))},
+                     snap_idx=snap_local)
+        report.pairing_traces[n] = res["traces"]["renorm"]
+        diff = res["snapshots"] - ref_snaps
+        lp_pow = np.einsum("rsx,s->r", np.abs(diff) ** p, snap_w) * dx
+        # coarse-node Ito sums of the paired integrands
+        tr_sig = res["traces"]["sigma"][:, :-1, :]
+        tr_ren = res["traces"]["renorm"][:, :-1, :]
+        i_sigma = np.sum(tr_sig * dWn, axis=(1, 2)) - ref_sigma
+        i_renorm = np.sum(tr_ren * dWn, axis=(1, 2)) - ref_renorm
+        energy_sup = 2.0 * res["energy"].max(axis=1)
+        # sign monitor: F = -int eta(u) dx <= 0 pathwise
+        f_int = -np.sum(res["energy"], axis=1) * dt
 
-        mean_pow, se_pow = mean_and_stderr(c["lp_pow"])
+        mean_pow, se_pow = mean_and_stderr(lp_pow)
         lp = mean_pow ** (1.0 / p)
         lp_se = se_pow / max(p * mean_pow ** (1.0 - 1.0 / p), 1e-300)
-        sgap, sgap_se = max_y_gap(ys, c["i_sigma"])
-        rgap, rgap_se = max_y_gap(ys, c["i_renorm"])
+        sgap, sgap_se = max_y_gap(ys, i_sigma)
+        rgap, rgap_se = max_y_gap(ys, i_renorm)
         worst_sign = -np.inf
         for col in range(nonneg.shape[1]):
-            mval, se = mean_and_stderr(nonneg[:, col] * c["f_int"])
+            mval, se = mean_and_stderr(nonneg[:, col] * f_int)
             worst_sign = max(worst_sign, mval - sign_slack * se)
         report.entries.append(StabilityEntry(
-            n, lp, lp_se, float(pairwise_sum(c["energy_sup"]) / replicas),
+            n, lp, lp_se, float(pairwise_sum(energy_sup) / replicas),
             sgap, sgap_se, rgap, rgap_se, worst_sign, monitor_rows[n]))
     return report.finalize()
 
@@ -608,8 +611,7 @@ def _test_variable_matrix(omega0: np.ndarray, w_final: np.ndarray,
 
 def translation_ensembles(march: Callable, problem_of_n: Callable, theta_of: Callable,
                           psi_values: np.ndarray, n_values: list[int], grid: TorusGrid,
-                          tgrid: TimeGrid, replicas: int, seed: int,
-                          workers: int = 1) -> dict[int, np.ndarray]:
+                          tgrid: TimeGrid, replicas: int, seed: int) -> dict[int, np.ndarray]:
     """Pairing traces t_j -> dx sum_i psi_i theta_n(u_n(t_j))_i per ladder member.
 
     march is the scheme (_march or claw._march_claw); theta_of(problem) gives
@@ -617,26 +619,21 @@ def translation_ensembles(march: Callable, problem_of_n: Callable, theta_of: Cal
     """
     out = {}
     for n in n_values:
-        pn = problem_of_n(n)
+        pn = _noise_once_per_state(problem_of_n(n))
         theta = theta_of(pn)
-
-        def chunk(lo, hi, pn=pn, theta=theta):
-            dW = increment_chunk(tgrid, pn.k, seed, lo, hi)
-            res = march(pn, grid, tgrid, _initial_state(pn, grid, hi - lo), dW,
-                        pairings={"trace": (psi_values, theta)})
-            return res["traces"]["trace"]
-
-        out[n] = np.concatenate(map_chunks(chunk, replicas, workers))
+        dW = increment_chunk(tgrid, pn.k, seed, 0, replicas)
+        res = march(pn, grid, tgrid, _initial_state(pn, grid, replicas), dW,
+                    pairings={"trace": (psi_values, theta)})
+        out[n] = res["traces"]["trace"]
     return out
 
 
 def transport_translation_ensembles(problem_of_n: Callable[[int], TransportProblem],
                                     n_values: list[int], grid: TorusGrid,
                                     tgrid: TimeGrid, replicas: int, seed: int,
-                                    psi: TestFunction | None = None,
-                                    workers: int = 1) -> dict[int, np.ndarray]:
+                                    psi: TestFunction | None = None) -> dict[int, np.ndarray]:
     """Renormalised-pairing traces (eta' sigma composition) for the rate fits."""
     if psi is None:
         psi = TestFunction.one(grid.cells)
     return translation_ensembles(_march, problem_of_n, _renorm_theta, psi.values, n_values,
-                                 grid, tgrid, replicas, seed, workers)
+                                 grid, tgrid, replicas, seed)

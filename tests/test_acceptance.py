@@ -63,8 +63,7 @@ def test_criterion_02_counterexample_spike():
 
 def test_criterion_03_isometry_suite():
     from stochlab.cli import _run_isometry, apply_defaults
-    rows = _run_isometry(apply_defaults("isometry", {"seed": SEED, "samples": 100_000}),
-                         workers=1)
+    rows = _run_isometry(apply_defaults("isometry", {"seed": SEED, "samples": 100_000}))
     zs = {r.statistic: r.value for r in rows if r.statistic.endswith("_z")}
     ident = next(r.value for r in rows if r.statistic == "ito_identity_max_rel")
     ok = all(abs(z) <= 3.0 for z in zs.values()) and ident <= 1e-12
@@ -169,8 +168,7 @@ def test_criterion_07_necessity_negative_control():
 
 def test_criterion_08_spatial_integrability_trade():
     from stochlab.cli import _run_l1mode, apply_defaults
-    rows = _run_l1mode(apply_defaults("l1mode", {"seed": SEED, "samples": 10_000}),
-                       workers=1)
+    rows = _run_l1mode(apply_defaults("l1mode", {"seed": SEED, "samples": 10_000}))
     stats = {r.n: r.value for r in rows if r.statistic == "strong_statistic"}
     ratio = next(r.value for r in rows if r.statistic == "strong_ratio")
     verdict = next(r.verdict for r in rows if r.statistic == "strong_ratio")
@@ -182,8 +180,7 @@ def test_criterion_08_spatial_integrability_trade():
 def test_criterion_09_transport_stability():
     t0 = time.monotonic()
     from stochlab.cli import _run_transport, apply_defaults
-    rows = _run_transport(apply_defaults("transport", {"seed": SEED, "samples": 200}),
-                          workers=1)
+    rows = _run_transport(apply_defaults("transport", {"seed": SEED, "samples": 200}))
     elapsed = time.monotonic() - t0
     verdicts = {r.statistic: r.verdict for r in rows if r.verdict}
     dists = {r.n: r.value for r in rows if r.statistic == "lp_distance"}
@@ -198,7 +195,7 @@ def test_criterion_10_kinetic_suite():
     from stochlab.cli import _run_claw
     rows = _run_claw({"seed": SEED, "samples": 256, "cells": 64, "horizon": 0.2,
                       "n_ladder": [2, 8, 16], "refine": 4,
-                      "det_cells": [64, 128], "shock_horizon": 0.3}, workers=1)
+                      "det_cells": [64, 128], "shock_horizon": 0.3})
     verdicts = {r.statistic: r.verdict for r in rows if r.verdict}
     gaps = {r.n: r.value for r in rows if r.statistic == "ito_weak_gap"}
     speed = next(r.value for r in rows if r.statistic == "shock_speed")

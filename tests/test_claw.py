@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from stochlab.claw import (ClawPath, KineticProblem, KineticTestFunction,
+from stochlab.claw import (ClawPath, KineticProblem, KineticTestFunction, SigmaXi,
                            _march_claw, bounded_smooth_sigma, bump_test_function,
                            burgers_riemann, claw_translation_ensembles,
                            constant_sigma, cubic_flux, kinetic_function,
                            kinetic_residual, kinetic_stability_experiment,
-                           kinetic_window, linear_flux, quadratic_flux,
-                           shock_position, solve_claw)
+                           ito_pairing_fn, kinetic_window, linear_flux,
+                           quadratic_flux, shock_position, solve_claw)
 from stochlab.errors import (CFLError, ConfigurationError, RangeEscapeError)
 from stochlab.processes import TestFunction
 from stochlab.translation import fit_translation_rate, standard_lag_ladder
-from stochlab.transport import (TorusGrid, TransportProblem, _march,
+from stochlab.transport import (TorusGrid, TransportProblem, _initial_state, _march,
                                 bounded_smooth_noise, steps_for_cfl)
 from stochlab.wiener import CouplingSchedule, TimeGrid, increment_chunk, sample_wiener
 
@@ -247,6 +247,38 @@ def test_claw_translation_slopes():
     fit = fit_translation_rate(traces, tgrid, standard_lag_ladder(tgrid))
     assert fit.worst_slope() >= 0.4
     assert np.all(fit.uniform_ratio <= 1.5)
+
+
+def test_claw_translation_ensembles_evaluate_sigma_once_per_state():
+    # the noise step and the Ito pairing read sigma(u) of the same state: each
+    # march evaluates it once per time node, and the traces equal those of a
+    # march that evaluates it at every use, bit for bit
+    base = bounded_smooth_sigma(0.25)
+    calls = []
+
+    def counted(xi):
+        calls.append(1)
+        return base.fn(xi)
+    sigma = SigmaXi(counted, base.dfn, base.k, base.bound)
+    tgrid, grid, replicas, seed = TimeGrid(0.25, 256), TorusGrid(32), 3, 6
+    phi = bump_test_function(TestFunction.one(32), -0.9, 1.9)
+
+    def prob(n):
+        return KineticProblem(
+            flux=quadratic_flux(), sigma=sigma, epsilon=1.0 / n,
+            u0=lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x), xi_min=-1.2, xi_max=2.2)
+
+    ens = claw_translation_ensembles(prob, [4, 8], grid, tgrid, replicas, seed, phi)
+    # building a KineticProblem checks sigma's derivative with two calls; each
+    # n builds the problem and its once-per-state copy
+    checks = 2 * 2 * 2
+    assert len(calls) == checks + 2 * (tgrid.steps + 1)
+    for n in (4, 8):
+        pn = prob(n)
+        direct = _march_claw(pn, grid, tgrid, _initial_state(pn, grid, replicas),
+                             increment_chunk(tgrid, pn.k, seed, 0, replicas),
+                             pairings={"trace": (phi.psi.values, ito_pairing_fn(pn, phi))})
+        assert np.array_equal(ens[n], direct["traces"]["trace"])
 
 
 def test_upwind_and_engquist_osher_marchers_agree_on_linear_transport():

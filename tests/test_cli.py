@@ -198,7 +198,7 @@ def test_run_claw_fills_schema_defaults():
     # sigma_amplitude come from the schema defaults
     rows = _run_claw({"seed": 11, "samples": 16, "cells": 32, "horizon": 0.1,
                       "n_ladder": [2, 8, 16], "refine": 2, "det_cells": [32, 64],
-                      "shock_horizon": 0.2}, workers=1)
+                      "shock_horizon": 0.2})
     stats = {r.statistic for r in rows}
     assert {"shock_speed", "ito_weak_gap", "ito_gap_ratio"} <= stats
 
@@ -210,7 +210,39 @@ def test_run_claw_fills_schema_defaults():
      "bad value for 'n_ladder' in [theorem21]: must be a non-empty list"),
     ("isometry", "seed = 3\nsamples = 10\n", ["--seed-override=-3"],
      "--seed-override must be non-negative, got -3"),
-], ids=["negative_seed", "empty_ladder", "negative_seed_override"])
+    ("isometry", "seed = 3\nsamples = 10\n", ["--workers", "0"], "--workers must be >= 1"),
+    ("isometry", "seed = 3\nsamples = 10\n", ["--workers=-4"], "--workers must be >= 1"),
+    ("transport", "seed = 1\nsamples = 2\nnoise = none\n", [],
+     "bad value for 'noise' in [transport]: must be one of ('state', 'additive')"),
+    ("theorem21", "seed = 1\nsamples = 10\nn_ladder = 4\n", [],
+     "bad value for 'n_ladder' in [theorem21]: "
+     "must be strictly increasing with at least 2 entries"),
+    ("l1mode", "seed = 1\nsamples = 10\nn_ladder = 8, 2, 32\n", [],
+     "bad value for 'n_ladder' in [l1mode]: "
+     "must be strictly increasing with at least 2 entries"),
+    ("corollary42", "seed = 1\nsamples = 10\nn_ladder = 2, 8, 8\n", [],
+     "bad value for 'n_ladder' in [corollary42]: "
+     "must be strictly increasing with at least 2 entries"),
+    ("transport", "seed = 1\nsamples = 2\nn_ladder = 32\n", [],
+     "bad value for 'n_ladder' in [transport]: "
+     "must be strictly increasing with at least 2 entries"),
+    ("claw", "seed = 1\nsamples = 2\nn_ladder = 16, 2\n", [],
+     "bad value for 'n_ladder' in [claw]: "
+     "must be strictly increasing with at least 2 entries"),
+    ("claw", "seed = 1\nsamples = 2\ndet_cells = 64\n", [],
+     "bad value for 'det_cells' in [claw]: "
+     "must be strictly increasing with at least 2 entries"),
+    ("translate", "seed = 1\nsamples = 2\nh_ladder = 1/64\n", [],
+     "bad value for 'h_ladder' in [translate]: must have at least 2 entries"),
+    ("transport", "seed = 1\nsamples = 2\nn_ladder = 0, 4\n", [],
+     "bad value for 'n_ladder' in [transport]: must be positive"),
+    ("translate", "seed = 1\nsamples = 2\nn_ladder = 0, 4\n", [],
+     "bad value for 'n_ladder' in [translate]: must be positive"),
+], ids=["negative_seed", "empty_ladder", "negative_seed_override", "zero_workers",
+        "negative_workers", "transport_noise_none", "one_entry_ladder", "unsorted_ladder",
+        "repeated_ladder_entry", "one_entry_transport_ladder", "decreasing_claw_ladder",
+        "one_entry_det_cells", "one_entry_lag_ladder", "zero_in_transport_ladder",
+        "zero_in_translate_ladder"])
 def test_bad_values_exit_2_with_configuration_error(tmp_path, capsys, section, text,
                                                     extra, message):
     cfg = tmp_path / "c.ini"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stochlab import convergence_lab
 from stochlab.convergence_lab import (DecompositionReport, GapEntry,
                                       convergence_scan, counterexample_sine,
                                       counterexample_spike, decompose,
@@ -212,10 +213,12 @@ def test_counterexample_persistence_across_n():
         assert rep.second_moment > 0.2
 
 
-def test_chunking_does_not_change_counterexample_bits():
+def test_chunking_does_not_change_counterexample_bits(monkeypatch):
+    # 3000 replicas run as one chunk, then as three chunks of 1000
     ens = Ensemble(seed=14, replicas=3000)
-    a = counterexample_sine(4, ens, GRID, SCHED, workers=1)
-    b = counterexample_sine(4, ens, GRID, SCHED, workers=3)
+    a = counterexample_sine(4, ens, GRID, SCHED)
+    monkeypatch.setattr(convergence_lab, "_CHUNK", 1000)
+    b = counterexample_sine(4, ens, GRID, SCHED)
     assert a.second_moment == b.second_moment
     assert a.stderr == b.stderr
 

@@ -4,14 +4,15 @@ import pytest
 from stochlab.errors import CFLError, ConfigurationError
 from stochlab.processes import TestFunction
 from stochlab.transport import (AdditiveNoise, FieldPath, StateNoise, TorusGrid,
-                                TransportProblem, bounded_smooth_noise,
+                                TransportProblem, _initial_state, _march, _renorm_theta,
+                                bounded_smooth_noise,
                                 cfl_number, gronwall_energy_bound,
                                 renormalized_pairing, solve_transport,
                                 stability_experiment, steps_for_cfl,
                                 transport_translation_ensembles,
                                 variance_inequality_residuals, weak_residual)
 from stochlab.translation import fit_translation_rate, standard_lag_ladder
-from stochlab.wiener import CouplingSchedule, TimeGrid, sample_wiener
+from stochlab.wiener import CouplingSchedule, TimeGrid, increment_chunk, sample_wiener
 
 GRID = TorusGrid(64)
 
@@ -224,17 +225,6 @@ def test_stability_experiment_reduced_scale():
     assert report.signs_ok
 
 
-def test_stability_worker_count_invariance():
-    kwargs = dict(problems={n: make_ladder(n) for n in (2, 8)}, limit=make_limit(),
-                  schedule=CouplingSchedule(), grid=TorusGrid(32), horizon=0.1,
-                  replicas=12, seed=12, snapshots=8)
-    a = stability_experiment(**kwargs, workers=1)
-    b = stability_experiment(**kwargs, workers=3)
-    for ea, eb in zip(a.entries, b.entries):
-        assert ea.lp_distance == eb.lp_distance
-        assert ea.sigma_gap == eb.sigma_gap
-
-
 def test_solver_pairing_traces_are_predictable_integrands():
     # the sigma(u(t_j)) pairing read off the solve is left-node measurable:
     # wrapped as an adapted process it passes the integration safety check
@@ -269,3 +259,30 @@ def test_translation_slope_of_transport_pairings():
     fit = fit_translation_rate(ens, tgrid, standard_lag_ladder(tgrid))
     assert fit.worst_slope() >= 0.4
     assert np.all(fit.uniform_ratio <= 1.5)
+
+
+def test_translation_ensembles_evaluate_sigma_once_per_state():
+    # the noise step and the renormalised pairing read sigma(u) of the same
+    # state: each march evaluates it once per time node, and the traces equal
+    # those of a march that evaluates it at every use, bit for bit
+    base = bounded_smooth_noise(0.3)
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return base.fn(u)
+    noise = StateNoise(counted, base.k, base.lipschitz, base.bound)
+    tgrid, grid, replicas, seed = TimeGrid(0.25, 256), TorusGrid(32), 3, 5
+
+    def prob(n):
+        return still_problem(noise=noise, eps=1.0 / n)
+
+    ens = transport_translation_ensembles(prob, [4, 8], grid, tgrid, replicas, seed)
+    assert len(calls) == 2 * (tgrid.steps + 1)
+    psi = TestFunction.one(grid.cells).values
+    for n in (4, 8):
+        pn = prob(n)
+        direct = _march(pn, grid, tgrid, _initial_state(pn, grid, replicas),
+                        increment_chunk(tgrid, pn.k, seed, 0, replicas),
+                        pairings={"trace": (psi, _renorm_theta(pn))})
+        assert np.array_equal(ens[n], direct["traces"]["trace"])
