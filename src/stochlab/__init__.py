@@ -7,21 +7,20 @@ stochastic transport equations and conservation laws in kinetic form.
 """
 
 from .wiener import (TimeGrid, WienerPath, CouplingSchedule, ReplicaDraw,
-                     sample_wiener, couple, sup_distance)
+                     ReplicaBatch, sample_wiener, couple, sup_distance)
 from .processes import (AdaptedProcess, DependencyTag, Ensemble, ExponentSet,
-                        TestFunction, pair, lp_norm, weak_gap,
-                        default_test_variables)
-from .ito import ito_integral, isometry_residual
+                        TestFunction, pair)
+from .ito import ito_integral, batch_ito_integral
 from .mollify import (MollifierKernel, mollify, adjoint_mollify,
                       mollify_derivative, adjoint_mollify_derivative)
 from .translation import translation_modulus, fit_translation_rate
 
 __all__ = [
-    "TimeGrid", "WienerPath", "CouplingSchedule", "ReplicaDraw",
+    "TimeGrid", "WienerPath", "CouplingSchedule", "ReplicaDraw", "ReplicaBatch",
     "sample_wiener", "couple", "sup_distance",
     "AdaptedProcess", "DependencyTag", "Ensemble", "ExponentSet",
-    "TestFunction", "pair", "lp_norm", "weak_gap", "default_test_variables",
-    "ito_integral", "isometry_residual",
+    "TestFunction", "pair",
+    "ito_integral", "batch_ito_integral",
     "MollifierKernel", "mollify", "adjoint_mollify",
     "mollify_derivative", "adjoint_mollify_derivative",
     "translation_modulus", "fit_translation_rate",

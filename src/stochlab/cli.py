@@ -6,7 +6,10 @@ per experiment with the fixed column set
 
     experiment, n, rho, h, statistic, value, stderr, samples, seed, verdict
 
-and exits 0 iff every verdict-bearing row passed. Runs are single-threaded.
+and exits 0 iff every verdict-bearing row passed, 1 when a verdict failed, 2
+on a configuration error and 3 when a solver failed (a CFL violation, an
+escape from the kinetic window or a blow-up): that experiment's CSV then holds
+one `error` row naming the failure. Runs are single-threaded.
 Reruns with identical config bytes produce identical CSV bytes: replica
 streams are indexed, reductions are pairwise over replica-ordered arrays, and
 floats are formatted with a fixed %.12g.
@@ -31,7 +34,7 @@ from .mollify import (MollifierKernel, adjoint_mollify,
                       adjoint_mollify_derivative, mollify, mollify_derivative,
                       time_inner)
 from ._util import map_chunks, mean_and_stderr, trapezoid_weights
-from .errors import ConfigurationError
+from .errors import CFLError, ConfigurationError, RangeEscapeError, SolverBlowupError
 from .ito import discrete_ito_identity_residual
 from .processes import AdaptedProcess, Ensemble, TestFunction
 from .translation import fit_translation_rate
@@ -49,14 +52,14 @@ EXPERIMENTS = ["isometry", "mollifier", "translate", "counterexample",
 class Row:
     experiment: str
     statistic: str
-    value: float
+    value: float | None
     n: int | None = None
     rho: float | None = None
     h: float | None = None
     stderr: float | None = None
     samples: int | None = None
     seed: int | None = None
-    verdict: str = ""  # "pass" | "fail" | "invalid" | "" (informational)
+    verdict: str = ""  # "pass" | "fail" | "invalid" | "error" | "" (informational)
 
     def as_record(self) -> list[str]:
         def num(x):
@@ -217,7 +220,9 @@ SCHEMAS: dict[str, dict] = {
         "refine": (_pos_int, 4),
         "velocity": (_choice("smooth", "constant"), "smooth"),
         "velocity_scale": (_float, 0.5),
-        "noise": (_choice("state", "additive"), "state"),
+        # an additive field is built on `cells` but paired on the refined
+        # reference grid too, so only the state-dependent noise can run
+        "noise": (_choice("state"), "state"),
         "noise_amplitude": (_float, 0.15),
     },
     "claw": {
@@ -497,9 +502,14 @@ def _run_theorem21(p: dict) -> list[Row]:
     grid = TimeGrid(1.0, p["time_steps"])
     sched = CouplingSchedule()
     ens = Ensemble(seed, samples)
+    dens = Ensemble(seed, min(samples, p["decomposition_samples"]))
+    report, reports, (entries, floor, ok) = lab.run_pass(
+        grid, 1,
+        lab.scan_statistic(_weak_omega(), _unit_limit, sched, p["n_ladder"], ens, "weak"),
+        lab.split_statistic(_weak_omega(), _unit_limit, sched,
+                            [(p["rho_n"], rho) for rho in p["rho_ladder"]], dens),
+        lab.control_statistic(grid, sched, p["n_ladder"], ens))
     rows = []
-    report = lab.convergence_scan(grid, 1, _weak_omega(), _unit_limit, sched,
-                                  p["n_ladder"], ens, "weak")
     gaps = [e.statistic for e in report.entries]
     for e in report.entries:
         rows.append(Row("theorem21", "weak_gap", e.statistic, n=e.n,
@@ -507,9 +517,6 @@ def _run_theorem21(p: dict) -> list[Row]:
     rows.append(Row("theorem21", "weak_gap_ratio", gaps[-1] / max(gaps[0], 1e-300),
                     samples=samples, seed=seed,
                     verdict=_verdict(gaps[-1] <= gaps[0] / 3.0)))
-    dens = Ensemble(seed, min(samples, p["decomposition_samples"]))
-    reports = lab.rho_sweep(grid, 1, _weak_omega(), _unit_limit, sched,
-                            p["rho_n"], p["rho_ladder"], dens)
     i1 = [r.i1_second_moment for r in reports]
     i3 = [r.i3_second_moment for r in reports]
     for r in reports:
@@ -524,7 +531,6 @@ def _run_theorem21(p: dict) -> list[Row]:
     rows.append(Row("theorem21", "decomposition_monotone", float(mono),
                     n=p["rho_n"], samples=dens.replicas, seed=seed,
                     verdict=_verdict(mono)))
-    entries, floor, ok = lab.necessity_control(grid, sched, p["n_ladder"], ens)
     for e in entries:
         rows.append(Row("theorem21", "negative_control_strong", e.statistic, n=e.n,
                         stderr=e.stderr, samples=samples, seed=seed))
@@ -575,29 +581,31 @@ def _run_corollary42(p: dict) -> list[Row]:
     sched = CouplingSchedule()
     ens = Ensemble(seed, samples)
     fam = lab.temporal_oscillation_family(0.5)
+    # the smoothed middle term and the pairing distance at the ladder's ends,
+    # on the first 2000 replicas of the scan's pass
+    small = Ensemble(seed, min(samples, 2000))
+    ends = (p["n_ladder"][0], p["n_ladder"][-1])
+    report, splits, distances = lab.run_pass(
+        grid, 1,
+        lab.scan_statistic(fam, lab.zero_limit, sched, p["n_ladder"], ens, "strong"),
+        lab.split_statistic(fam, lab.zero_limit, sched, [(n, p["rho"]) for n in ends], small),
+        lab.distance_statistic(fam, lab.zero_limit, ends, small))
     rows = []
-    report = lab.convergence_scan(grid, 1, fam, lab.zero_limit, sched,
-                                  p["n_ladder"], ens, "strong")
     for e in report.entries:
         rows.append(Row("corollary42", "strong_statistic", e.statistic, n=e.n,
                         stderr=e.stderr, samples=samples, seed=seed))
     rows.append(Row("corollary42", "strong_slope", report.slope,
                     samples=samples, seed=seed, verdict=_verdict(report.verdict)))
-    # the smoothed middle term falls along n at fixed width
-    small = Ensemble(seed, min(samples, 2000))
-    i2 = []
-    for n in (p["n_ladder"][0], p["n_ladder"][-1]):
-        rep = lab.decompose(grid, 1, fam, lab.zero_limit, sched, n, p["rho"], small)
-        i2.append(rep.i2_gap)
-        rows.append(Row("corollary42", "i2_gap_fixed_rho", rep.i2_gap, n=n,
+    i2 = [rep.i2_gap for rep in splits]
+    for rep in splits:
+        rows.append(Row("corollary42", "i2_gap_fixed_rho", rep.i2_gap, n=rep.n,
                         rho=p["rho"], stderr=rep.i2_gap_stderr,
                         samples=small.replicas, seed=seed))
     rows.append(Row("corollary42", "i2_gap_falls", float(i2[-1] < i2[0]),
                     rho=p["rho"], seed=seed, verdict=_verdict(i2[-1] < i2[0])))
-    dist = []
-    for n in (p["n_ladder"][0], p["n_ladder"][-1]):
-        d, se = lab.pairing_l2_distance(grid, 1, fam, lab.zero_limit, n, small)
-        dist.append(d)
+    dist = [distances[n][0] for n in ends]
+    for n in ends:
+        d, se = distances[n]
         rows.append(Row("corollary42", "pairing_l2_distance", d, n=n, stderr=se,
                         samples=small.replicas, seed=seed))
     rows.append(Row("corollary42", "pairing_distance_falls", float(dist[-1] < dist[0]),
@@ -615,14 +623,6 @@ def _transport_velocity(family: str, scale: float, n: int | None):
             lambda x: 0.5 * np.pi * np.cos(2 * np.pi * x) + 0.8 * np.pi * wobble * np.cos(4 * np.pi * x))
 
 
-def _transport_noise(family: str, amplitude: float, cells: int):
-    if family == "additive":
-        x = np.arange(cells) / cells
-        values = amplitude * np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)], axis=1)
-        return transport_mod.AdditiveNoise(values)
-    return transport_mod.bounded_smooth_noise(amplitude)
-
-
 def _transport_problem(p: dict, n: int | None):
     """Ladder member for index n; the limit problem for n = None."""
     wobble = 0.0 if n is None else 1.0 / n
@@ -630,7 +630,7 @@ def _transport_problem(p: dict, n: int | None):
     return transport_mod.TransportProblem(
         velocity=b, divergence=div_b,
         source=lambda x: 0.1 * np.cos(2 * np.pi * x) * (1.0 + wobble),
-        noise=_transport_noise(p["noise"], p["noise_amplitude"], p["cells"]),
+        noise=transport_mod.bounded_smooth_noise(p["noise_amplitude"]),
         epsilon=wobble,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5 + 0.1 * wobble * np.sin(2 * np.pi * x))
 
@@ -847,22 +847,30 @@ def run(config_path: str, subcommand: str, out_dir: str,
         targets = [subcommand]
 
     failures: list[str] = []
+    errors: list[str] = []
     all_rows: list[Row] = []
     for name in targets:
         params = dict(plan[name])
         if seed_override is not None:
             params["seed"] = seed_override
-        rows = RUNNERS[name](params)
+        try:
+            rows = RUNNERS[name](params)
+        except (CFLError, RangeEscapeError, SolverBlowupError) as exc:
+            message = f"{type(exc).__name__}: {exc}"
+            rows = [Row(name, f"solver_error: {message}", None, seed=params["seed"],
+                        verdict="error")]
+            errors.append(f"{name}: {message}")
         _write_csv(out / f"{name}.csv", rows)
         all_rows.extend(rows)
         failures.extend(_failure(name, r) for r in rows if r.verdict == "fail")
     if subcommand == "all":
         _write_csv(out / "all.csv", all_rows)
 
+    for error in errors:
+        print(f"solver error: {error}", file=sys.stderr)
     if failures:
         print(f"FAILED verdicts ({len(failures)}): " + "; ".join(failures))
-        return 1
-    return 0
+    return 3 if errors else 1 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from ._util import mean_and_stderr
 from .errors import ConfigurationError, GridMismatchError, PredictabilityError
 from .processes import AdaptedProcess
-from .wiener import ReplicaDraw, TimeGrid, WienerPath
+from .wiener import PathBatch, WienerPath
+
+
+def _check_integrand(V: AdaptedProcess, W):
+    if V.grid != W.grid:
+        raise GridMismatchError("integrand and driver use different time grids")
+    if not V.tag.predictable:
+        raise PredictabilityError(
+            f"integrand reads {V.tag.lookahead} node(s) ahead of its evaluation node")
 
 
 def ito_integral(V: AdaptedProcess, W: WienerPath, upto: int | None = None):
@@ -21,11 +25,7 @@ def ito_integral(V: AdaptedProcess, W: WienerPath, upto: int | None = None):
     Rejecting integrands whose tag reads future randomness is the module's
     core safety contract.
     """
-    if V.grid != W.grid:
-        raise GridMismatchError("integrand and driver use different time grids")
-    if not V.tag.predictable:
-        raise PredictabilityError(
-            f"integrand reads {V.tag.lookahead} node(s) ahead of its evaluation node")
+    _check_integrand(V, W)
     n = V.grid.steps
     if upto is None:
         upto = n
@@ -57,35 +57,24 @@ def discrete_ito_identity_residual(W: WienerPath, component: int = 0) -> float:
     return abs(lhs - rhs) / scale
 
 
-@dataclass(frozen=True)
-class IsometryReport:
-    lhs: float          # E |int V dW|^2
-    rhs: float          # E int |V|^2 dt
-    z_score: float      # of lhs - rhs under the empirical paired stderr
-    lhs_stderr: float
-    samples: int
+def batch_ito_integral(V: AdaptedProcess, W: PathBatch) -> np.ndarray:
+    """ito_integral over the whole grid for every replica of a batch, shape (replicas, m).
 
-
-def isometry_residual(make_V: Callable[[ReplicaDraw], AdaptedProcess],
-                      grid: TimeGrid, k: int, seed: int, samples: int) -> IsometryReport:
-    """Monte Carlo check of E |int_0^T V dW|^2 = E int_0^T |V|^2 dt.
-
-    The z-score is computed on the per-replica differences, which removes the
-    common variance of the two estimates for random integrands.
+    V may carry a leading replica axis; without it, it is the same integrand
+    for every replica. Row r equals ito_integral on replica r's path bit for
+    bit: the scalar sums go through matmul on (1 x N_t)(N_t x 1) blocks,
+    which takes np.dot's inner product, and the matrix contraction is the
+    per-path einsum with a replica index.
     """
-    if samples < 100:
-        raise ConfigurationError("fewer than 100 samples makes the z-score meaningless")
-    dt = grid.dt
-    sq = np.empty(samples)
-    quad = np.empty(samples)
-    for r in range(samples):
-        draw = ReplicaDraw.sample(grid, k, seed, r)
-        V = make_V(draw)
-        I = ito_integral(V, draw.W)
-        sq[r] = I ** 2 if V.kind == "scalar" else float(np.dot(I, I))
-        quad[r] = float(np.sum(V.node_magnitude() ** 2) * dt)
-    lhs, lhs_se = mean_and_stderr(sq)
-    rhs, _ = mean_and_stderr(quad)
-    diff_mean, diff_se = mean_and_stderr(sq - quad)
-    z = diff_mean / diff_se if diff_se > 0 else 0.0
-    return IsometryReport(lhs, rhs, z, lhs_se, samples)
+    _check_integrand(V, W)
+    dW = W.increments
+    if V.kind == "scalar":
+        if dW.shape[2] != 1:
+            raise GridMismatchError("scalar integrand needs a 1-d driver")
+        v = np.broadcast_to(V.values, dW.shape[:2])
+        return np.matmul(v[:, None, :], dW)[:, 0]
+    if V.kind == "matrix":
+        if V.values.shape[-1] != dW.shape[2]:
+            raise GridMismatchError("integrand columns must match the driver dimension")
+        return np.einsum("rjmk,rjk->rm" if V.batched else "jmk,rjk->rm", V.values, dW)
+    raise ConfigurationError("field processes must be paired down before integration")

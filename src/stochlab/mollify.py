@@ -155,11 +155,21 @@ def time_inner(grid: TimeGrid, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def mollify_left_nodes(kernel: MollifierKernel, grid: TimeGrid, left_values: np.ndarray) -> np.ndarray:
-    """Smooth a left-node step process; returns left-node values.
+    """Smooth left-node step processes; returns left-node values.
 
-    The step process is extended constantly to the final node; that value
-    never enters the output at left nodes (causality), it only pads shapes.
+    The last axis is time; leading axes (replicas) are smoothed row by row
+    with the kernel's taps computed once. The step process is extended
+    constantly to the final node; that value never enters the output at left
+    nodes (causality), it only pads shapes.
     """
     left_values = np.asarray(left_values, dtype=float)
-    full = np.append(left_values, left_values[-1])
-    return mollify(kernel, grid, full)[:-1]
+    if left_values.shape[-1] != grid.steps:
+        raise ConfigurationError(f"left-node values need {grid.steps} entries, got {left_values.shape}")
+    if not np.all(np.isfinite(left_values)):
+        raise ConfigurationError("grid function must be finite")
+    full = np.concatenate([left_values, left_values[..., -1:]], axis=-1)
+    weighted = trapezoid_weights(grid.steps + 1, grid.dt) * full
+    taps = kernel._taps(grid)
+    rows = weighted.reshape(-1, grid.steps + 1)
+    out = np.stack([_causal_apply(taps, row) for row in rows])
+    return out.reshape(full.shape)[..., :-1]

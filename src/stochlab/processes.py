@@ -1,4 +1,4 @@
-"""Predictable integrand processes, duality pairings, and the norms the experiments quantify over.
+"""Predictable integrand processes, duality pairings, and the test variables of the weak-mode statistics.
 
 An AdaptedProcess holds left-node values only (nodes t_0 .. t_{N_t-1}): the
 value at node j is the one multiplying the increment W(t_{j+1}) - W(t_j) in a
@@ -9,7 +9,9 @@ lookahead; predictability is the mechanical check lookahead <= 0.
 Shapes: "scalar" (N_t,), "matrix" (N_t, m, k), "field" (N_t, N_x, k). Fields
 are cell values of an R^k-valued function on the periodic unit interval;
 pairing against a test function reduces a field to a 1 x k matrix process by
-torus quadrature (equal-weight sum times the cell size).
+torus quadrature (equal-weight sum times the cell size). Values may carry a
+leading replica axis, one row per replica of a ReplicaBatch; a process
+without it is the same for every replica.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._util import pairwise_sum
 from .errors import ConfigurationError, GridMismatchError
-from .wiener import ReplicaDraw, TimeGrid, WienerPath, STREAM_W, STREAM_B
+from .wiener import TimeGrid, WienerPath, STREAM_W, STREAM_B
 
 _STREAM_SOURCE = {STREAM_W: "W", STREAM_B: "B"}
 
@@ -62,11 +64,13 @@ class AdaptedProcess:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if self.kind == "scalar":
-            if v.shape != (self.grid.steps,):
-                raise ConfigurationError(f"scalar process needs shape {(self.grid.steps,)}, got {v.shape}")
+            if v.ndim not in (1, 2) or v.shape[-1] != self.grid.steps:
+                raise ConfigurationError(
+                    f"scalar process needs shape ([replicas,] {self.grid.steps}), got {v.shape}")
         elif self.kind in ("matrix", "field"):
-            if v.ndim != 3 or v.shape[0] != self.grid.steps:
-                raise ConfigurationError(f"{self.kind} process needs shape (N_t, ., .), got {v.shape}")
+            if v.ndim not in (3, 4) or v.shape[-3] != self.grid.steps:
+                raise ConfigurationError(
+                    f"{self.kind} process needs shape ([replicas,] N_t, ., .), got {v.shape}")
         else:
             raise ConfigurationError(f"unknown process kind {self.kind!r}")
         if not np.all(np.isfinite(v)):
@@ -132,6 +136,11 @@ class AdaptedProcess:
     def with_values(self, values: np.ndarray) -> "AdaptedProcess":
         return replace(self, values=np.asarray(values, dtype=float))
 
+    @property
+    def batched(self) -> bool:
+        """True when the values carry a leading replica axis."""
+        return self.values.ndim == (2 if self.kind == "scalar" else 4)
+
     # --- pointwise magnitudes used by the norms --------------------------
 
     def node_magnitude(self) -> np.ndarray:
@@ -139,10 +148,10 @@ class AdaptedProcess:
         if self.kind == "scalar":
             return np.abs(self.values)
         if self.kind == "matrix":
-            return np.sqrt(np.sum(self.values ** 2, axis=(1, 2)))
-        n_x = self.values.shape[1]
-        point = np.sqrt(np.sum(self.values ** 2, axis=2))
-        return pairwise_sum(point, axis=1) / n_x
+            return np.sqrt(np.sum(self.values ** 2, axis=(-2, -1)))
+        n_x = self.values.shape[-2]
+        point = np.sqrt(np.sum(self.values ** 2, axis=-1))
+        return pairwise_sum(point, axis=-1) / n_x
 
 
 @dataclass(frozen=True)
@@ -249,76 +258,32 @@ def pair(beta: TestFunction, V: AdaptedProcess) -> AdaptedProcess:
     """
     if V.kind != "field":
         raise ConfigurationError("pair needs a field-shaped process")
-    if V.values.shape[1] != beta.cells:
+    if V.values.shape[-2] != beta.cells:
         raise GridMismatchError("test function and field use different spatial grids")
     dx = 1.0 / beta.cells
-    paired = pairwise_sum(beta.values[None, :, None] * V.values, axis=1) * dx
-    return AdaptedProcess(V.grid, paired[:, None, :], "matrix", V.tag)
+    paired = pairwise_sum(beta.values[:, None] * V.values, axis=-2) * dx
+    return AdaptedProcess(V.grid, paired[..., None, :], "matrix", V.tag)
 
 
-def lp_norm(make_process: Callable[[ReplicaDraw], AdaptedProcess],
-            p_omega: float, p_t: float, ensemble: Ensemble,
-            grid: TimeGrid, k: int = 1) -> float:
-    """Monte Carlo estimate of (E ||V||_{L^{p_t}}^{p_omega})^{1/p_omega}.
-
-    Time integrals use the left-node rectangle rule, exact for the step
-    processes the Ito convention works with.
-    """
-    if p_omega < 1 or p_t < 1:
-        raise ConfigurationError("exponents must be >= 1")
-    dt = grid.dt
-    powers = np.empty(ensemble.replicas)
-    for r in range(ensemble.replicas):
-        V = make_process(ReplicaDraw.sample(grid, k, ensemble.seed, r))
-        mag = V.node_magnitude()
-        powers[r] = (np.sum(mag ** p_t) * dt) ** (p_omega / p_t)
-    return float((pairwise_sum(powers) / ensemble.replicas) ** (1.0 / p_omega))
+TEST_VARIABLES = ("one", "W_T", "W_T^2-T", "sin_omega0", "cos_omega0", "W_T/2")
 
 
-def default_test_variables(grid: TimeGrid) -> list[tuple[str, Callable[[ReplicaDraw], float]]]:
+def _test_variable_matrix(omega0: np.ndarray, w_final: np.ndarray,
+                          w_half: np.ndarray, horizon: float) -> np.ndarray:
     """The finite Y in L^2(Omega) surrogate family for weak-mode statistics.
 
-    Each variable is normalised to unit L^2(Omega) norm so weak-mode gaps are
-    dominated by strong-mode statistics (Cauchy-Schwarz). The family is an
-    engineering surrogate for the full dual space and is configurable.
+    Columns follow TEST_VARIABLES: one, W_T, W_T^2 - T, sin/cos(2 pi omega0),
+    W_{T/2}, one row per replica. Each variable is normalised to unit
+    L^2(Omega) norm so weak-mode gaps are dominated by strong-mode statistics
+    (Cauchy-Schwarz). The family is an engineering surrogate for the full
+    dual space.
     """
-    T = grid.horizon
-    half = T / 2.0
-    return [
-        ("one", lambda d: 1.0),
-        ("W_T", lambda d: float(d.W.final()[0]) / np.sqrt(T)),
-        ("W_T^2-T", lambda d: (float(d.W.final()[0]) ** 2 - T) / (np.sqrt(2.0) * T)),
-        ("sin_omega0", lambda d: np.sqrt(2.0) * np.sin(2 * np.pi * d.omega0)),
-        ("cos_omega0", lambda d: np.sqrt(2.0) * np.cos(2 * np.pi * d.omega0)),
-        ("W_T/2", lambda d: float(d.W.at(half)[0]) / np.sqrt(half)),
-    ]
-
-
-def weak_gap(make_Vn: Callable[[ReplicaDraw], AdaptedProcess],
-             make_V: Callable[[ReplicaDraw], AdaptedProcess],
-             duals: list[np.ndarray],
-             ys: list[tuple[str, Callable[[ReplicaDraw], float]]],
-             ensemble: Ensemble, grid: TimeGrid, k: int = 1) -> float:
-    """Empirical weak-convergence surrogate.
-
-    max over (zeta, Y) of | E[ Y * integral_0^T zeta : (V_n - V) dt ] |,
-    with the componentwise (colon) product and left-node time quadrature.
-    An empty dual list vacuously gives 0.
-    """
-    if not duals:
-        return 0.0
-    dt = grid.dt
-    pairings = np.empty((ensemble.replicas, len(duals), len(ys)))
-    for r in range(ensemble.replicas):
-        draw = ReplicaDraw.sample(grid, k, ensemble.seed, r)
-        diff = make_Vn(draw).values - make_V(draw).values
-        yvals = np.array([fn(draw) for _, fn in ys])
-        for i, zeta in enumerate(duals):
-            z = np.asarray(zeta, dtype=float)
-            if z.shape != diff.shape:
-                raise GridMismatchError(f"dual {i} has shape {z.shape}, process diff {diff.shape}")
-            inner = float(np.sum(z * diff) * dt)
-            pairings[r, i, :] = inner * yvals
-    means = pairwise_sum(pairings, axis=0) / ensemble.replicas
-    return float(np.max(np.abs(means)))
-
+    T = horizon
+    return np.stack([
+        np.ones_like(omega0),
+        w_final / np.sqrt(T),
+        (w_final ** 2 - T) / (np.sqrt(2.0) * T),
+        np.sqrt(2.0) * np.sin(2 * np.pi * omega0),
+        np.sqrt(2.0) * np.cos(2 * np.pi * omega0),
+        w_half / np.sqrt(T / 2.0),
+    ], axis=1)

@@ -27,8 +27,8 @@ import numpy as np
 from ._util import (max_y_gap, mean_and_stderr, pairwise_sum,
                     trapezoid_weights)
 from .errors import CFLError, ConfigurationError, SolverBlowupError
-from .processes import (ExponentSet, TestFunction, spectral_derivative,
-                        spectral_prolong)
+from .processes import (ExponentSet, TestFunction, _test_variable_matrix,
+                        spectral_derivative, spectral_prolong)
 from .wiener import (CouplingSchedule, TimeGrid, WienerPath,
                      aggregate_increments, increment_chunk, initial_chunk)
 
@@ -589,24 +589,6 @@ def stability_experiment(problems: dict[int, TransportProblem],
             n, lp, lp_se, float(pairwise_sum(energy_sup) / replicas),
             sgap, sgap_se, rgap, rgap_se, worst_sign, monitor_rows[n]))
     return report.finalize()
-
-
-def _test_variable_matrix(omega0: np.ndarray, w_final: np.ndarray,
-                          w_half: np.ndarray, horizon: float) -> np.ndarray:
-    """The default unit-normalised test-variable family, from raw blocks.
-
-    Mirrors processes.default_test_variables: one, W_T, W_T^2 - T,
-    sin/cos(2 pi omega0), W_{T/2}.
-    """
-    T = horizon
-    return np.stack([
-        np.ones_like(omega0),
-        w_final / np.sqrt(T),
-        (w_final ** 2 - T) / (np.sqrt(2.0) * T),
-        np.sqrt(2.0) * np.sin(2 * np.pi * omega0),
-        np.sqrt(2.0) * np.cos(2 * np.pi * omega0),
-        w_half / np.sqrt(T / 2.0),
-    ], axis=1)
 
 
 def translation_ensembles(march: Callable, problem_of_n: Callable, theta_of: Callable,

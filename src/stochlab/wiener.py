@@ -7,7 +7,9 @@ and independent N(0, dt) increments per component. Every path is a pure
 function of (seed, replica, stream, grid, k): regenerating with the same
 inputs yields bit-identical values. Streams are counter-based (Philox keyed
 by a SeedSequence spawn key), so replicas are order-independent and safe to
-generate in parallel.
+generate in parallel. A ReplicaBatch holds the draws of a contiguous range of
+replicas as arrays with a leading replica axis; ReplicaDraw is the
+one-replica view of the same numbers.
 
 Coupled sequences W_n are built from two independent paths W and B as
 
@@ -19,7 +21,9 @@ a_n, and converges to W uniformly on [0, T] pathwise as a_n -> 0.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -245,3 +249,71 @@ class ReplicaDraw:
         W = sample_wiener(grid, k, seed, replica, STREAM_W)
         B = sample_wiener(grid, k, seed, replica, STREAM_B)
         return cls(seed, replica, W, B, omega0, normals)
+
+
+class PathBatch:
+    """Paths of a replica batch on one grid, drawn on first read.
+
+    `increments` has shape (replicas, N_t, k); `values` (replicas, N_t + 1, k)
+    holds the node values, row by row the cumulative sums WienerPath keeps.
+    """
+
+    def __init__(self, grid: TimeGrid, draw):
+        self.grid = grid
+        self._draw = draw
+
+    @cached_property
+    def increments(self) -> np.ndarray:
+        return self._draw()
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        dW = self.increments
+        return np.concatenate([np.zeros((dW.shape[0], 1, dW.shape[2])),
+                               np.cumsum(dW, axis=1)], axis=1)
+
+
+class ReplicaBatch:
+    """The randomness of replicas lo..hi-1, as arrays with a leading replica axis.
+
+    omega0 and normals (one initial_chunk), the increments of W and B
+    (increment_chunk on streams W and B) and the node values are drawn on
+    first read, so a caller that reads nothing draws nothing. Row r - lo of
+    each array equals what ReplicaDraw.sample(grid, k, seed, r) holds.
+    """
+
+    def __init__(self, grid: TimeGrid, k: int, seed: int, lo: int, hi: int):
+        self.grid, self.k, self.seed, self.lo, self.hi = grid, k, seed, lo, hi
+        self._initial = cache(lambda: initial_chunk(seed, lo, hi))
+        self.W = PathBatch(grid, lambda: increment_chunk(grid, k, seed, lo, hi, STREAM_W))
+        self.B = PathBatch(grid, lambda: increment_chunk(grid, k, seed, lo, hi, STREAM_B))
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    @property
+    def omega0(self) -> np.ndarray:
+        return self._initial()[0]
+
+    @property
+    def normals(self) -> np.ndarray:
+        return self._initial()[1]
+
+    def head(self, m: int) -> "ReplicaBatch":
+        """Replicas lo..lo+m-1, reading (and drawing) through this batch."""
+        if m == len(self):
+            return self
+        part = copy.copy(self)
+        part.hi = self.lo + m
+        part._initial = cache(lambda: tuple(a[:m] for a in self._initial()))
+        part.W = PathBatch(self.grid, lambda: self.W.increments[:m])
+        part.B = PathBatch(self.grid, lambda: self.B.increments[:m])
+        return part
+
+    def coupled(self, schedule: CouplingSchedule, n: int) -> PathBatch:
+        """W_n = (W + a_n B) / sqrt(1 + a_n^2), increment by increment as couple() mixes."""
+        a = schedule.coefficient(n)
+        if a == 0.0:
+            return self.W
+        scale = 1.0 / np.sqrt(1.0 + a * a)
+        return PathBatch(self.grid, lambda: (self.W.increments + a * self.B.increments) * scale)

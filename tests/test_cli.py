@@ -213,7 +213,9 @@ def test_run_claw_fills_schema_defaults():
     ("isometry", "seed = 3\nsamples = 10\n", ["--workers", "0"], "--workers must be >= 1"),
     ("isometry", "seed = 3\nsamples = 10\n", ["--workers=-4"], "--workers must be >= 1"),
     ("transport", "seed = 1\nsamples = 2\nnoise = none\n", [],
-     "bad value for 'noise' in [transport]: must be one of ('state', 'additive')"),
+     "bad value for 'noise' in [transport]: must be one of ('state',)"),
+    ("transport", "seed = 1\nsamples = 2\nnoise = additive\n", [],
+     "bad value for 'noise' in [transport]: must be one of ('state',)"),
     ("theorem21", "seed = 1\nsamples = 10\nn_ladder = 4\n", [],
      "bad value for 'n_ladder' in [theorem21]: "
      "must be strictly increasing with at least 2 entries"),
@@ -239,7 +241,8 @@ def test_run_claw_fills_schema_defaults():
     ("translate", "seed = 1\nsamples = 2\nn_ladder = 0, 4\n", [],
      "bad value for 'n_ladder' in [translate]: must be positive"),
 ], ids=["negative_seed", "empty_ladder", "negative_seed_override", "zero_workers",
-        "negative_workers", "transport_noise_none", "one_entry_ladder", "unsorted_ladder",
+        "negative_workers", "transport_noise_none", "transport_noise_additive",
+        "one_entry_ladder", "unsorted_ladder",
         "repeated_ladder_entry", "one_entry_transport_ladder", "decreasing_claw_ladder",
         "one_entry_det_cells", "one_entry_lag_ladder", "zero_in_transport_ladder",
         "zero_in_translate_ladder"])
@@ -264,3 +267,18 @@ def test_failed_verdicts_name_n_value_and_stderr(tmp_path, capsys):
                if ",second_moment," in l)
     assert row[9] == "fail"
     assert f"counterexample:second_moment (n=4, value={row[5]}, stderr={row[6]})" in line
+
+
+def test_solver_failure_is_an_error_row_and_exit_3(tmp_path, capsys):
+    # 64 time steps are too coarse for 16 cells at n = 2: the translation
+    # ensemble's march violates the CFL limit
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[translate]\nseed = 1\nsamples = 2\ncells = 16\n"
+                   "time_steps = 64\nn_ladder = 2, 4\n")
+    out = tmp_path / "out"
+    status = main(["translate", "--config", str(cfg), "--out", str(out)])
+    message = "CFLError: CFL number 4.000 exceeds 0.9"
+    assert status == 3
+    assert capsys.readouterr().err == f"solver error: translate: {message}\n"
+    assert (out / "translate.csv").read_text().splitlines()[1:] == [
+        f"translate,,,,solver_error: {message},,,,1,error"]

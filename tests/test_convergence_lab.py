@@ -12,8 +12,8 @@ from stochlab.convergence_lab import (DecompositionReport, GapEntry,
                                       weak_omega_family, zero_limit)
 from stochlab.errors import ConfigurationError
 from stochlab.processes import (AdaptedProcess, Ensemble, TestFunction,
-                                default_test_variables)
-from stochlab.wiener import CouplingSchedule, TimeGrid
+                                _test_variable_matrix, pair)
+from stochlab.wiener import CouplingSchedule, ReplicaBatch, ReplicaDraw, TimeGrid
 
 GRID = TimeGrid(1.0, 256)
 SCHED = CouplingSchedule()
@@ -131,20 +131,21 @@ def test_subterm_sum_tracks_direct_i2():
     from stochlab.convergence_lab import _i2_subterms
     from stochlab.ito import ito_integral
     from stochlab.mollify import MollifierKernel, mollify_left_nodes
-    from stochlab.wiener import ReplicaDraw
 
     fam = weak_omega_family(lambda t: np.ones_like(t), lambda t: np.sin(2 * np.pi * t))
     limit = constant_limit(1.0)
     K = MollifierKernel(0.15)
+    batch = ReplicaBatch(GRID, 1, 10, 0, 24)
+    vn = fam(batch, 2).values
+    v = np.broadcast_to(limit(batch).values, vn.shape)
     worst = 0.0
     for r in range(24):
         draw = ReplicaDraw.sample(GRID, 1, 10, r)
         Wn = SCHED.coupled(draw.W, draw.B, 2)
-        Vn, V = fam(draw, 2), limit(draw)
-        smoothed_n = Vn.with_values(mollify_left_nodes(K, GRID, Vn.values))
-        smoothed = V.with_values(mollify_left_nodes(K, GRID, V.values))
+        smoothed_n = AdaptedProcess(GRID, mollify_left_nodes(K, GRID, vn[r]), "scalar")
+        smoothed = AdaptedProcess(GRID, mollify_left_nodes(K, GRID, v[r]), "scalar")
         direct = ito_integral(smoothed_n, Wn) - ito_integral(smoothed, draw.W)
-        pieces = _i2_subterms(K, GRID, Vn.values, V.values, Wn, draw.W)
+        pieces = _i2_subterms(K, GRID, vn[r], v[r], Wn.values[:, 0], draw.W.values[:, 0])
         worst = max(worst, abs(direct - pieces.sum()))
     assert worst <= 30.0 * GRID.dt  # O(dt) quadrature agreement
 
@@ -216,6 +217,7 @@ def test_counterexample_persistence_across_n():
 def test_chunking_does_not_change_counterexample_bits(monkeypatch):
     # 3000 replicas run as one chunk, then as three chunks of 1000
     ens = Ensemble(seed=14, replicas=3000)
+    monkeypatch.setattr(convergence_lab, "_CHUNK", 3000)
     a = counterexample_sine(4, ens, GRID, SCHED)
     monkeypatch.setattr(convergence_lab, "_CHUNK", 1000)
     b = counterexample_sine(4, ens, GRID, SCHED)
@@ -259,3 +261,101 @@ def test_l1_torus_mode_identical_family_and_annihilating_functional():
     out = l1_torus_mode(grid, 1, beta0, fam_const, limit0, SCHED, [2, 8], ens,
                         mode="strong", p=3.0)
     assert all(e.statistic == 0.0 for e in out.report.entries)
+
+
+# ----------------------------------------------------------------------
+# the batched pass against the one-replica view
+# ----------------------------------------------------------------------
+
+ORACLE_GRID = TimeGrid(1.0, 64)
+
+
+def _one_replica_y(draw):
+    T = ORACLE_GRID.horizon
+    return _test_variable_matrix(np.array([draw.omega0]), draw.W.final()[:1],
+                                 draw.W.at(T / 2.0)[:1], T)[0]
+
+
+def test_batched_samples_equal_per_replica_draws_bit_for_bit():
+    # replicas 5..11 of seed 31, drawn as one batch and one ReplicaDraw at a
+    # time; the per-replica integrands are the families' formulas on scalars
+    from stochlab.convergence_lab import _difference_samples, _test_variables, split_statistic
+    from stochlab.ito import ito_integral
+    from stochlab.mollify import MollifierKernel, mollify_left_nodes
+
+    g, seed, lo, hi = ORACLE_GRID, 31, 5, 12
+    t = g.left_nodes
+    x = np.arange(16) / 16
+    beta = TestFunction.from_callable(16, lambda x: 1.0 + np.sin(4 * np.pi * x))
+    v = lambda t, x: (1.0 + 0.5 * np.cos(2 * np.pi * x)) * (1.0 + 0.3 * t)
+    field = spatial_oscillation_family(16, v)
+    families = {
+        "weak_omega": (weak_omega_family(lambda t: 1.0 + 0.5 * t, np.cos), constant_limit(1.0),
+                       lambda d, n: 1.0 + 0.5 * t + np.sin(2 * np.pi * n * d.omega0) * np.cos(t)),
+        "temporal": (temporal_oscillation_family(0.5), zero_limit,
+                     lambda d, n: n ** -0.5 * np.sin(2 * np.pi * n * t) * d.normals[0]),
+        "l1_field": (lambda b, n: pair(beta, field(b, n)), lambda b: pair(beta, field(b, 1)),
+                     None),
+    }
+    batch = ReplicaBatch(g, 1, seed, lo, hi)
+    ys = _test_variables(batch)
+    for name, (family, limit, scalar) in families.items():
+        samples = _difference_samples(batch, family, limit, SCHED, [2, 8])
+        for r in range(lo, hi):
+            draw = ReplicaDraw.sample(g, 1, seed, r)
+            assert np.array_equal(ys[r - lo], _one_replica_y(draw))
+            for n in (2, 8):
+                Wn = SCHED.coupled(draw.W, draw.B, n)
+                if scalar is None:
+                    paired = [pair(beta, AdaptedProcess(g, np.repeat(
+                        (v(t[:, None], x[None, :]) * (1.0 + np.sin(2 * np.pi * m * x)))[:, :, None],
+                        1, axis=2), "field")) for m in (n, 1)]
+                    want = ito_integral(paired[0], Wn) - ito_integral(paired[1], draw.W)
+                else:
+                    vn = AdaptedProcess(g, scalar(draw, n), "scalar")
+                    want = ito_integral(vn, Wn) - ito_integral(limit(batch), draw.W)
+                assert np.array_equal(samples[n][r - lo], np.atleast_1d(want)), (name, r, n)
+
+    fam, limit, scalar = families["weak_omega"]
+    stat = split_statistic(fam, limit, SCHED, [(2, 0.2), (8, 0.2), (8, 0.1)],
+                           Ensemble(seed, hi))
+    split = stat.sample(batch)
+    for r in range(lo, hi):
+        draw = ReplicaDraw.sample(g, 1, seed, r)
+        for n, rho in ((2, 0.2), (8, 0.2), (8, 0.1)):
+            K = MollifierKernel(rho)
+            Wn = SCHED.coupled(draw.W, draw.B, n)
+            vn, v1 = scalar(draw, n), np.ones(g.steps)
+            sn, s1 = mollify_left_nodes(K, g, vn), mollify_left_nodes(K, g, v1)
+            i2 = (ito_integral(AdaptedProcess(g, sn), Wn)
+                  - ito_integral(AdaptedProcess(g, s1), draw.W))
+            total = ito_integral(AdaptedProcess(g, vn), Wn) - ito_integral(AdaptedProcess(g, v1), draw.W)
+            assert split["i1", n, rho][r - lo] == np.sum((vn - sn) ** 2) * g.dt
+            assert split["i3", rho][r - lo] == np.sum((v1 - s1) ** 2) * g.dt
+            assert split["i2", n, rho][r - lo] == i2
+            assert split["total", n][r - lo] == total
+            assert np.array_equal(split["y"][r - lo], _one_replica_y(draw))
+
+
+def test_pass_statistics_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 300 replicas as one chunk, then as three chunks of 100; the split and
+    # the distance read the first 250 replicas of each chunk
+    from stochlab.convergence_lab import (control_statistic, distance_statistic, run_pass,
+                                          scan_statistic, split_statistic)
+
+    ens, head = Ensemble(seed=17, replicas=300), Ensemble(seed=17, replicas=250)
+    fam = weak_omega_family(lambda t: np.ones_like(t), lambda t: np.sin(2 * np.pi * t))
+
+    def statistics():
+        return run_pass(GRID, 1,
+                        scan_statistic(fam, constant_limit(1.0), SCHED, [1, 4], ens, "weak"),
+                        control_statistic(GRID, SCHED, [1, 4], ens),
+                        split_statistic(fam, constant_limit(1.0), SCHED, [(4, 0.1)], head),
+                        distance_statistic(temporal_oscillation_family(0.5), zero_limit,
+                                           [2, 8], head))
+
+    monkeypatch.setattr(convergence_lab, "_CHUNK", 1000)
+    one = statistics()
+    monkeypatch.setattr(convergence_lab, "_CHUNK", 100)
+    three = statistics()
+    assert one == three

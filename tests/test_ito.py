@@ -1,13 +1,31 @@
 import numpy as np
 import pytest
 
+from stochlab._util import mean_and_stderr
+from stochlab.convergence_lab import Statistic, run_pass
 from stochlab.errors import ConfigurationError, GridMismatchError, PredictabilityError
-from stochlab.ito import (IsometryReport, discrete_ito_identity_residual,
-                          isometry_residual, ito_integral)
-from stochlab.processes import AdaptedProcess, DependencyTag
-from stochlab.wiener import ReplicaDraw, TimeGrid, sample_wiener
+from stochlab.ito import batch_ito_integral, discrete_ito_identity_residual, ito_integral
+from stochlab.processes import AdaptedProcess, DependencyTag, Ensemble
+from stochlab.wiener import ReplicaBatch, ReplicaDraw, TimeGrid, sample_wiener
 
 GRID = TimeGrid(1.0, 128)
+
+
+def isometry_residual(make_V, grid, seed, samples):
+    """E |int_0^T V dW|^2 and E int_0^T |V|^2 dt by one batched pass, with the
+    z-score of their per-replica differences."""
+    def sample(batch):
+        V = make_V(batch)
+        quad = np.sum(V.node_magnitude() ** 2, axis=-1) * grid.dt
+        return {"sq": batch_ito_integral(V, batch.W)[:, 0] ** 2,
+                "quad": np.broadcast_to(quad, (len(batch),))}
+
+    def finish(s):
+        lhs, _ = mean_and_stderr(s["sq"])
+        rhs, _ = mean_and_stderr(s["quad"])
+        diff_mean, diff_se = mean_and_stderr(s["sq"] - s["quad"])
+        return lhs, rhs, diff_mean / diff_se if diff_se > 0 else 0.0
+    return run_pass(grid, 1, Statistic(Ensemble(seed, samples), sample, finish))[0]
 
 
 def test_zero_integrand():
@@ -47,6 +65,8 @@ def test_predictability_violation_is_a_hard_error():
     V = AdaptedProcess.from_path_nodes(W, node_offset=1)
     with pytest.raises(PredictabilityError):
         ito_integral(V, W)
+    with pytest.raises(PredictabilityError):
+        batch_ito_integral(V, ReplicaBatch(GRID, 1, 4, 0, 3).W)
 
 
 def test_grid_and_shape_errors():
@@ -88,18 +108,18 @@ def test_isometry_deterministic_ramp():
     # V(t) = t on [0,1]: E int V^2 dt = 1/3 up to the left-rule discretisation
     grid = TimeGrid(1.0, 1024)
     make = lambda d: AdaptedProcess.deterministic(grid, lambda t: t)
-    rep = isometry_residual(make, grid, 1, seed=8, samples=20_000)
-    assert abs(rep.rhs - 1.0 / 3.0) < 2e-3
-    assert abs(rep.lhs - 1.0 / 3.0) < 0.02 / 3.0
-    assert abs(rep.z_score) <= 3.0
+    lhs, rhs, z = isometry_residual(make, grid, seed=8, samples=20_000)
+    assert abs(rhs - 1.0 / 3.0) < 2e-3
+    assert abs(lhs - 1.0 / 3.0) < 0.02 / 3.0
+    assert abs(z) <= 3.0
 
 
 def test_isometry_unit_integrand():
     make = lambda d: AdaptedProcess(GRID, np.ones(GRID.steps), "scalar")
-    rep = isometry_residual(make, GRID, 1, seed=9, samples=10_000)
-    assert rep.rhs == pytest.approx(1.0)
-    assert abs(rep.lhs - 1.0) < 0.05
-    assert abs(rep.z_score) <= 3.0
+    lhs, rhs, z = isometry_residual(make, GRID, seed=9, samples=10_000)
+    assert rhs == pytest.approx(1.0)
+    assert abs(lhs - 1.0) < 0.05
+    assert abs(z) <= 3.0
 
 
 def test_isometry_sine_counterexample_member():
@@ -107,19 +127,14 @@ def test_isometry_sine_counterexample_member():
     n = 8
 
     def make(d):
-        vals = np.sin(2 * np.pi * n * d.omega0) * np.sin(2 * np.pi * n * GRID.left_nodes)
+        vals = (np.sin(2 * np.pi * n * d.omega0)[:, None]
+                * np.sin(2 * np.pi * n * GRID.left_nodes))
         return AdaptedProcess(GRID, vals, "scalar", DependencyTag.initial())
 
-    rep = isometry_residual(make, GRID, 1, seed=10, samples=20_000)
-    assert abs(rep.lhs - 0.25) < 0.01
-    assert abs(rep.rhs - 0.25) < 0.01
-    assert abs(rep.z_score) <= 3.0
-
-
-def test_isometry_rejects_tiny_samples():
-    make = lambda d: AdaptedProcess(GRID, np.ones(GRID.steps), "scalar")
-    with pytest.raises(ConfigurationError):
-        isometry_residual(make, GRID, 1, seed=1, samples=50)
+    lhs, rhs, z = isometry_residual(make, GRID, seed=10, samples=20_000)
+    assert abs(lhs - 0.25) < 0.01
+    assert abs(rhs - 0.25) < 0.01
+    assert abs(z) <= 3.0
 
 
 def test_martingale_mean_surrogate():

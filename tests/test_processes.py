@@ -3,13 +3,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochlab._util import pairwise_sum
+from stochlab.convergence_lab import Statistic, _test_variables, run_pass
 from stochlab.errors import ConfigurationError, GridMismatchError
 from stochlab.processes import (AdaptedProcess, DependencyTag, Ensemble,
-                                ExponentSet, TestFunction, default_test_variables,
-                                lp_norm, pair, weak_gap)
-from stochlab.wiener import ReplicaDraw, TimeGrid, sample_wiener
+                                ExponentSet, TestFunction, pair)
+from stochlab.wiener import TimeGrid, sample_wiener
 
 GRID = TimeGrid(1.0, 64)
+
+
+def lp_norm(make_process, p_omega, p_t, ensemble, grid):
+    """(E ||V||_{L^{p_t}}^{p_omega})^{1/p_omega} by one batched pass, left-node rule in time."""
+    def sample(batch):
+        mag = make_process(batch).node_magnitude()
+        power = (np.sum(mag ** p_t, axis=-1) * grid.dt) ** (p_omega / p_t)
+        return {"power": np.broadcast_to(power, (len(batch),))}
+
+    def finish(s):
+        return float((pairwise_sum(s["power"]) / ensemble.replicas) ** (1.0 / p_omega))
+    return run_pass(grid, 1, Statistic(ensemble, sample, finish))[0]
+
+
+def weak_gap(make_Vn, make_V, duals, ys, ensemble, grid):
+    """max over (zeta, Y) of |E[Y int_0^T zeta (V_n - V) dt]| by one batched pass.
+
+    ys(batch) gives the test variables, one column each; an empty dual list
+    vacuously gives 0.
+    """
+    if not duals:
+        return 0.0
+
+    def sample(batch):
+        diff = make_Vn(batch).values - make_V(batch).values
+        inner = np.stack([np.broadcast_to(np.sum(np.asarray(z) * diff, axis=-1) * grid.dt,
+                                          (len(batch),)) for z in duals], axis=1)
+        return {"pairings": inner[:, :, None] * ys(batch)[:, None, :]}
+
+    def finish(s):
+        return float(np.max(np.abs(pairwise_sum(s["pairings"], axis=0) / ensemble.replicas)))
+    return run_pass(grid, 1, Statistic(ensemble, sample, finish))[0]
+
+
+def path_nodes(batch):
+    """V(t_j) = W(t_j) at the left nodes, one row per replica."""
+    return AdaptedProcess(batch.grid, batch.W.values[:, :-1, 0], "scalar",
+                          DependencyTag(frozenset({"W"})))
 
 
 def field_process(grid, fn, cells=256, k=1):
@@ -112,15 +151,14 @@ def test_lp_norm_wiener_oracle():
     # E int_0^1 W^2 dt = 1/2, so the (2,2) norm is 1/sqrt(2) up to MC error
     grid = TimeGrid(1.0, 128)
     ens = Ensemble(seed=5, replicas=10_000)
-    make = lambda d: AdaptedProcess.from_path_nodes(d.W)
-    val = lp_norm(make, 2, 2, ens, grid)
+    val = lp_norm(path_nodes, 2, 2, ens, grid)
     assert abs(val - 1.0 / np.sqrt(2.0)) < 0.05 / np.sqrt(2.0)
 
 
 def test_weak_gap_vacuous_and_identical():
     ens = Ensemble(seed=7, replicas=200)
-    make = lambda d: AdaptedProcess.from_path_nodes(d.W)
-    ys = default_test_variables(GRID)
+    make = path_nodes
+    ys = _test_variables
     assert weak_gap(make, make, [], ys, ens, GRID) == 0.0
     gap = weak_gap(make, make, [np.ones(GRID.steps)], ys, ens, GRID)
     assert gap == 0.0
@@ -132,12 +170,12 @@ def test_weak_gap_oscillating_family_decays():
     grid = TimeGrid(1.0, 32)
     ens = Ensemble(seed=11, replicas=4_000)
     g = np.ones(grid.steps)
-    ys = [("sin", lambda d: np.sin(2 * np.pi * d.omega0))]
+    ys = lambda d: np.sin(2 * np.pi * d.omega0)[:, None]
     zero = lambda d: AdaptedProcess(grid, np.zeros(grid.steps), "scalar")
 
     def family(n):
         def make(d):
-            vals = np.sin(2 * np.pi * n * d.omega0) * g
+            vals = np.sin(2 * np.pi * n * d.omega0)[:, None] * g
             return AdaptedProcess(grid, vals, "scalar", DependencyTag.initial())
         return make
 
