@@ -27,7 +27,7 @@ import numpy as np
 from ._util import gauss_on_intervals, max_y_gap, pairwise_sum
 from .errors import ConfigurationError, RangeEscapeError
 from .processes import TestFunction, spectral_prolong
-from .transport import (TorusGrid, _explicit_march, _initial_state, _ladder_draws,
+from .transport import (FieldPath, TorusGrid, _explicit_march, _initial_state, _ladder_draws,
                         _ladder_grids, _check_monitors, _noise_once_per_state,
                         translation_ensembles)
 from .mollify import bump, bump_derivative
@@ -37,6 +37,19 @@ from .wiener import CouplingSchedule, TimeGrid, WienerPath
 # ----------------------------------------------------------------------
 # coefficient families with closed-form Engquist-Osher splittings
 # ----------------------------------------------------------------------
+
+def _check_derivative(f: Callable, df: Callable, window: tuple[float, float], tol: float,
+                      name: str) -> float:
+    """Max |df - central difference of f| over the window; raises past tol (scaled)."""
+    xi = np.linspace(window[0], window[1], 4097)
+    h = xi[1] - xi[0]
+    fd = (f(xi[2:]) - f(xi[:-2])) / (2 * h)
+    err = float(np.max(np.abs(df(xi[1:-1]) - fd)))
+    scale = max(1.0, float(np.max(np.abs(df(xi)))))
+    if err > tol * scale * 10:  # second-order FD on 4096 cells
+        raise ConfigurationError(f"{name} derivative inconsistent: residual {err:.2e}")
+    return err
+
 
 @dataclass(frozen=True)
 class FluxFamily:
@@ -57,14 +70,7 @@ class FluxFamily:
 
     def check_derivative_consistency(self, window: tuple[float, float],
                                      tol: float = 1e-6) -> float:
-        xi = np.linspace(window[0], window[1], 4097)
-        h = (xi[1] - xi[0])
-        fd = (self.F(xi[2:]) - self.F(xi[:-2])) / (2 * h)
-        err = float(np.max(np.abs(self.Fp(xi[1:-1]) - fd)))
-        scale = max(1.0, float(np.max(np.abs(self.Fp(xi)))))
-        if err > tol * scale * 10:  # second-order FD on 4096 cells
-            raise ConfigurationError(f"flux derivative inconsistent: residual {err:.2e}")
-        return err
+        return _check_derivative(self.F, self.Fp, window, tol, "flux")
 
     def split_consistency(self, window: tuple[float, float]) -> float:
         xi = np.linspace(window[0], window[1], 513)
@@ -131,14 +137,7 @@ class SigmaXi:
 
     def check_derivative_consistency(self, window: tuple[float, float],
                                      tol: float = 1e-6) -> float:
-        xi = np.linspace(window[0], window[1], 4097)
-        h = xi[1] - xi[0]
-        fd = (self.fn(xi[2:]) - self.fn(xi[:-2])) / (2 * h)
-        err = float(np.max(np.abs(self.dfn(xi[1:-1]) - fd)))
-        scale = max(1.0, float(np.max(np.abs(self.dfn(xi)))))
-        if err > tol * scale * 10:
-            raise ConfigurationError(f"sigma derivative inconsistent: residual {err:.2e}")
-        return err
+        return _check_derivative(self.fn, self.dfn, window, tol, "sigma")
 
 
 def constant_sigma(vector: np.ndarray) -> SigmaXi:
@@ -304,17 +303,6 @@ def kinetic_function(path_values: np.ndarray, problem: KineticProblem) -> Kineti
 # solver
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClawPath:
-    grid: TorusGrid
-    tgrid: TimeGrid
-    values: np.ndarray   # (N_t + 1, cells)
-    energy: np.ndarray
-
-    def spatial_mean(self) -> np.ndarray:
-        return pairwise_sum(self.values, axis=1) / self.grid.cells
-
-
 def _entropy_flux(flux: FluxFamily, kappa: float | np.ndarray, left: np.ndarray,
                   right: np.ndarray) -> np.ndarray:
     """Numerical Kruzkov entropy flux: EO applied to u v kappa minus u ^ kappa.
@@ -465,7 +453,7 @@ def chi_pairing_fn(phi: "KineticTestFunction", window: tuple[float, float],
 
 
 def solve_claw(problem: KineticProblem, W: WienerPath, grid: TorusGrid,
-               snapshots: int = 16) -> tuple[ClawPath, KineticMeasure]:
+               snapshots: int = 16) -> tuple[FieldPath, KineticMeasure]:
     """One path with full field storage and the detailed kinetic measure."""
     u0 = np.asarray(problem.u0(grid.x), dtype=float) * np.ones(grid.cells)
     dW = W.increments if problem.sigma is not None else None
@@ -477,7 +465,7 @@ def solve_claw(problem: KineticProblem, W: WienerPath, grid: TorusGrid,
     snap_idx = np.arange(0, nt + 1, nt // snapshots)
     res = _march_claw(problem, grid, W.grid, u0, dW, snap_idx=snap_idx,
                       store_full=True, measure_detail=True)
-    return ClawPath(grid, W.grid, res["full"], res["energy"]), res["measure"]
+    return FieldPath(grid, W.grid, res["full"], res["energy"]), res["measure"]
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +500,7 @@ def bump_test_function(psi: TestFunction, lo: float, hi: float) -> KineticTestFu
     return KineticTestFunction(psi, zeta, zeta_prime)
 
 
-def kinetic_residual(path: ClawPath, measure: KineticMeasure,
+def kinetic_residual(path: FieldPath, measure: KineticMeasure,
                      problem: KineticProblem, W: WienerPath,
                      phi: KineticTestFunction, t: float) -> float:
     """Discrete weak-form residual of the kinetic equation over [0, t].
@@ -694,7 +682,7 @@ def burgers_riemann(levels: tuple[float, float] = (1.0, 0.0),
     return u0
 
 
-def shock_position(path: ClawPath, node: int, level: float = 0.5,
+def shock_position(path: FieldPath, node: int, level: float = 0.5,
                    search: tuple[float, float] = (0.3, 0.95)) -> float:
     """Linear-interpolated crossing of the given level inside the search window."""
     x = path.grid.x

@@ -13,6 +13,11 @@ one `error` row naming the failure. Runs are single-threaded.
 Reruns with identical config bytes produce identical CSV bytes: replica
 streams are indexed, reductions are pairwise over replica-ordered arrays, and
 floats are formatted with a fixed %.12g.
+
+Every Monte Carlo runner of the lab (isometry, counterexample, theorem21,
+l1mode, corollary42) reads its replicas off one convergence_lab.run_pass and
+draws none of its own; each runner builds its rows with one `row` that binds
+the experiment name and the seed.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import csv
 import io
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +39,12 @@ from . import transport as transport_mod
 from .mollify import (MollifierKernel, adjoint_mollify,
                       adjoint_mollify_derivative, mollify, mollify_derivative,
                       time_inner)
-from ._util import map_chunks, mean_and_stderr, trapezoid_weights
+from ._util import mean_and_stderr, trapezoid_weights
 from .errors import CFLError, ConfigurationError, RangeEscapeError, SolverBlowupError
 from .ito import discrete_ito_identity_residual
 from .processes import AdaptedProcess, Ensemble, TestFunction
 from .translation import fit_translation_rate
-from .wiener import (CouplingSchedule, TimeGrid, increment_chunk, initial_chunk,
-                     sample_wiener)
+from .wiener import CouplingSchedule, TimeGrid, WienerPath, sample_wiener
 
 CSV_HEADER = ["experiment", "n", "rho", "h", "statistic", "value", "stderr",
               "samples", "seed", "verdict"]
@@ -80,18 +85,18 @@ class Row:
 _REQUIRED = object()
 
 
-def _seed(v):
-    x = int(v)
-    if x < 0:
-        raise ValueError("must be non-negative")
-    return x
+def _int_from(lowest: int, message: str):
+    def parse(v):
+        x = int(v)
+        if x < lowest:
+            raise ValueError(message)
+        return x
+    return parse
 
 
-def _pos_int(v):
-    x = int(v)
-    if x <= 0:
-        raise ValueError("must be positive")
-    return x
+_seed = _int_from(0, "must be non-negative")
+_pos_int = _int_from(1, "must be positive")
+_samples = _int_from(2, "must be at least 2")  # a standard error needs two
 
 
 def _float(v):
@@ -113,18 +118,19 @@ def _fraction(v):
     return float(v)
 
 
-def _list_of(item):
+def _list_of(item, distinct: bool = False):
     def parse(v):
         items = [item(s.strip()) for s in str(v).split(",") if s.strip()]
         if not items:
             raise ValueError("must be a non-empty list")
+        if distinct and len(set(items)) < len(items):
+            raise ValueError("must not repeat an entry")
         return items
     return parse
 
 
 _pos_int_list = _list_of(_pos_int)
 _float_list = _list_of(_fraction)
-
 
 def _ladder(v):
     """An n or cell ladder whose rows compare its first and last entries."""
@@ -153,7 +159,7 @@ def _choice(*options):
 SCHEMAS: dict[str, dict] = {
     "isometry": {
         "seed": (_seed, _REQUIRED),
-        "samples": (_pos_int, _REQUIRED),
+        "samples": (_samples, _REQUIRED),
         "time_steps": (_pos_int, 512),
         "identity_paths": (_pos_int, 1000),
     },
@@ -178,7 +184,7 @@ SCHEMAS: dict[str, dict] = {
     },
     "counterexample": {
         "seed": (_seed, _REQUIRED),
-        "samples": (_pos_int, _REQUIRED),
+        "samples": (_samples, _REQUIRED),
         "which": (_choice("sine", "spike", "both"), "both"),
         "time_steps": (_pos_int, 512),
         "sine_n_ladder": (_pos_int_list, [4, 16, 64]),
@@ -239,7 +245,7 @@ SCHEMAS: dict[str, dict] = {
         "sigma_amplitude": (_float, 0.12),
     },
     "run": {
-        "experiments": (lambda v: [s.strip() for s in str(v).split(",") if s.strip()], None),
+        "experiments": (_list_of(str, distinct=True), None),
     },
 }
 
@@ -302,53 +308,62 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _rows_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v. BLAS gemv sums rows in blocks of four and a leftover row another
+    way, so zero rows pad a to whole blocks: a row's value is chunk-independent."""
+    pad = -len(a) % 4
+    return (np.concatenate([a, np.zeros((pad, a.shape[1]))]) @ v)[:len(a)] if pad else a @ v
+
+
 def _run_isometry(p: dict) -> list[Row]:
     p = apply_defaults("isometry", p)
-    seed, samples, nt = p["seed"], p["samples"], p["time_steps"]
-    grid = TimeGrid(1.0, nt)
-    dt = grid.dt
-    t_left = grid.left_nodes
+    seed, samples = p["seed"], p["samples"]
+    row = partial(Row, "isometry", seed=seed)
+    grid = TimeGrid(1.0, p["time_steps"])
+    dt, t_left = grid.dt, grid.left_nodes
     n_osc = 8
     sin_t = np.sin(2 * np.pi * n_osc * t_left)
 
-    def chunk(lo, hi):
-        dW = increment_chunk(grid, 1, seed, lo, hi)[:, :, 0]
-        omega0, _ = initial_chunk(seed, lo, hi)
-        w_left = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(dW, axis=1)[:, :-1]], axis=1)
+    def sample(batch):
+        """(I^2, int V^2 dt) per replica for each member: the two sides of the isometry."""
+        dW, w_left = batch.W.increments[:, :, 0], batch.W.values[:, :-1, 0]
+        f = np.sin(2 * np.pi * n_osc * batch.omega0)[:, None] * sin_t[None, :]
         members = {
-            "ramp": (dW @ t_left, np.full(hi - lo, np.sum(t_left ** 2) * dt)),
-            "unit": (dW.sum(axis=1), np.ones(hi - lo)),
+            "ramp": (_rows_dot(dW, t_left), np.full(len(batch), np.sum(t_left ** 2) * dt)),
+            "unit": (dW.sum(axis=1), np.ones(len(batch))),
             "wiener": (np.sum(w_left * dW, axis=1), np.sum(w_left ** 2, axis=1) * dt),
+            "osc_sine": (np.sum(f * dW, axis=1), np.sum(f ** 2, axis=1) * dt),
         }
-        f = np.sin(2 * np.pi * n_osc * omega0)[:, None] * sin_t[None, :]
-        members["osc_sine"] = (np.sum(f * dW, axis=1), np.sum(f ** 2, axis=1) * dt)
-        return {k: (i ** 2, q) for k, (i, q) in members.items()}
+        return {name: np.column_stack([i ** 2, q]) for name, (i, q) in members.items()}
 
-    parts = map_chunks(chunk, samples, chunk=16384)
-    rows = []
-    for name in ("ramp", "unit", "wiener", "osc_sine"):
-        sq = np.concatenate([c[name][0] for c in parts])
-        quad = np.concatenate([c[name][1] for c in parts])
-        lhs, lhs_se = mean_and_stderr(sq)
-        rhs, _ = mean_and_stderr(quad)
-        dmean, dse = mean_and_stderr(sq - quad)
-        z = dmean / dse if dse > 0 else 0.0
-        rows.append(Row("isometry", f"{name}_lhs", lhs, stderr=lhs_se,
-                        samples=samples, seed=seed))
-        rows.append(Row("isometry", f"{name}_rhs", rhs, samples=samples, seed=seed))
-        rows.append(Row("isometry", f"{name}_z", z, samples=samples, seed=seed,
-                        verdict=_verdict(abs(z) <= 3.0)))
-    worst = max(discrete_ito_identity_residual(sample_wiener(grid, 1, seed, r))
-                for r in range(p["identity_paths"]))
-    rows.append(Row("isometry", "ito_identity_max_rel", worst,
-                    samples=p["identity_paths"], seed=seed,
-                    verdict=_verdict(worst <= 1e-12)))
-    return rows
+    def finish(s):
+        rows = []
+        for name, sides in s.items():
+            sq, quad = sides[:, 0], sides[:, 1]
+            lhs, lhs_se = mean_and_stderr(sq)
+            rhs, _ = mean_and_stderr(quad)
+            dmean, dse = mean_and_stderr(sq - quad)
+            z = dmean / dse if dse > 0 else 0.0
+            rows += [row(f"{name}_lhs", lhs, stderr=lhs_se, samples=samples),
+                     row(f"{name}_rhs", rhs, samples=samples),
+                     row(f"{name}_z", z, samples=samples, verdict=_verdict(abs(z) <= 3.0))]
+        return rows
+
+    def identity(batch):
+        return {"residual": np.array([discrete_ito_identity_residual(WienerPath(grid, 1, w))
+                                      for w in batch.W.values])}
+
+    paths = Ensemble(seed, p["identity_paths"])
+    rows, worst = lab.run_pass(grid, 1, lab.Statistic(Ensemble(seed, samples), sample, finish),
+                               lab.Statistic(paths, identity, lambda s: s["residual"].max()))
+    return rows + [row("ito_identity_max_rel", worst, samples=paths.replicas,
+                       verdict=_verdict(worst <= 1e-12))]
 
 
 def _run_mollifier(p: dict) -> list[Row]:
     p = apply_defaults("mollifier", p)
     seed, pairs, nt = p["seed"], p["samples"], p["time_steps"]
+    row = partial(Row, "mollifier", seed=seed)
     grid = TimeGrid(1.0, nt)
     K = MollifierKernel(p["rho"])
     rng = np.random.default_rng(seed)
@@ -363,16 +378,15 @@ def _run_mollifier(p: dict) -> list[Row]:
         dl = time_inner(grid, mollify_derivative(K, grid, f), g)
         dr = time_inner(grid, f, adjoint_mollify_derivative(K, grid, g))
         worst_dadj = max(worst_dadj, abs(dl + dr))
-    rows = [
-        Row("mollifier", "adjoint_residual_max", worst_adj, rho=p["rho"],
-            samples=pairs, seed=seed, verdict=_verdict(worst_adj <= 1e-8)),
-        Row("mollifier", "derivative_adjoint_residual_max", worst_dadj, rho=p["rho"],
-            samples=pairs, seed=seed, verdict=_verdict(worst_dadj <= 1e-8)),
-    ]
     mass = MollifierKernel(p["mass_rho"]).mass_up_to(p["mass_delta"])
-    rows.append(Row("mollifier", "mass_below_delta", mass, rho=p["mass_rho"],
-                    h=p["mass_delta"], seed=seed,
-                    verdict=_verdict(abs(mass - 1.0) <= 1e-6)))
+    rows = [
+        row("adjoint_residual_max", worst_adj, rho=p["rho"], samples=pairs,
+            verdict=_verdict(worst_adj <= 1e-8)),
+        row("derivative_adjoint_residual_max", worst_dadj, rho=p["rho"], samples=pairs,
+            verdict=_verdict(worst_dadj <= 1e-8)),
+        row("mass_below_delta", mass, rho=p["mass_rho"], h=p["mass_delta"],
+            verdict=_verdict(abs(mass - 1.0) <= 1e-6)),
+    ]
     corpus = [np.sin(2 * np.pi * grid.nodes),
               np.cos(4 * np.pi * grid.nodes) + 0.3 * grid.nodes,
               np.exp(grid.nodes) * np.sin(2 * np.pi * grid.nodes)]
@@ -384,8 +398,8 @@ def _run_mollifier(p: dict) -> list[Row]:
             nf = np.sum(w * np.abs(f) ** r) ** (1 / r)
             no = np.sum(w * np.abs(out) ** r) ** (1 / r)
             contraction_ok = contraction_ok and (no <= nf * (1 + 1e-6))
-    rows.append(Row("mollifier", "contraction_ok", float(contraction_ok), rho=p["rho"],
-                    seed=seed, verdict=_verdict(contraction_ok)))
+    rows.append(row("contraction_ok", float(contraction_ok), rho=p["rho"],
+                    verdict=_verdict(contraction_ok)))
     monotone_ok = True
     for f in corpus:
         errs = []
@@ -393,8 +407,7 @@ def _run_mollifier(p: dict) -> list[Row]:
             out = mollify(MollifierKernel(rho), grid, f)
             errs.append(np.sqrt(time_inner(grid, f - out, f - out)))
         monotone_ok = monotone_ok and all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    rows.append(Row("mollifier", "approximation_monotone", float(monotone_ok),
-                    seed=seed, verdict=_verdict(monotone_ok)))
+    rows.append(row("approximation_monotone", float(monotone_ok), verdict=_verdict(monotone_ok)))
     return rows
 
 
@@ -420,6 +433,7 @@ def _claw_translation_problem(n: int):
 def _run_translate(p: dict) -> list[Row]:
     p = apply_defaults("translate", p)
     seed, replicas = p["seed"], p["samples"]
+    row = partial(Row, "translate", seed=seed, samples=replicas)
     tgrid = TimeGrid(1.0, p["time_steps"])
     grid = transport_mod.TorusGrid(p["cells"])
     lags = sorted(h * tgrid.horizon for h in p["h_ladder"])
@@ -437,53 +451,47 @@ def _run_translate(p: dict) -> list[Row]:
         fit = fit_translation_rate(ensembles, tgrid, lags)
         for n in p["n_ladder"]:
             slope = fit.slopes[n]
-            rows.append(Row("translate", f"{name}_slope", slope, n=n,
-                            samples=replicas, seed=seed,
+            rows.append(row(f"{name}_slope", slope, n=n,
                             verdict=_verdict(slope >= p["slope_min"])))
             for h, m in zip(fit.lags, fit.moduli[n]):
-                rows.append(Row("translate", f"{name}_modulus", m, n=n, h=h,
-                                samples=replicas, seed=seed))
+                rows.append(row(f"{name}_modulus", m, n=n, h=h))
         for h, ratio in zip(fit.lags, fit.uniform_ratio):
-            rows.append(Row("translate", f"{name}_uniformity_ratio", ratio, h=h,
-                            samples=replicas, seed=seed,
+            rows.append(row(f"{name}_uniformity_ratio", ratio, h=h,
                             verdict=_verdict(ratio <= p["uniformity_max"])))
     return rows
 
 
 def _run_counterexample(p: dict) -> list[Row]:
     p = apply_defaults("counterexample", p)
-    seed, samples = p["seed"], p["samples"]
+    seed, samples, tol = p["seed"], p["samples"], p["tolerance"]
+    row = partial(Row, "counterexample", seed=seed)
     grid = TimeGrid(1.0, p["time_steps"])
-    sched = CouplingSchedule()
-    tol = p["tolerance"]
+    ens, sched = Ensemble(seed, samples), CouplingSchedule()
+    sines = p["sine_n_ladder"] if p["which"] in ("sine", "both") else []
+    spikes = p["spike_n_ladder"] if p["which"] in ("spike", "both") else []
+    reports = lab.run_pass(grid, 1, *(lab.sine_statistic(n, ens, grid, sched) for n in sines),
+                           *(lab.spike_statistic(n, ens, grid, sched) for n in spikes))
     rows = []
-    if p["which"] in ("sine", "both"):
-        for n in p["sine_n_ladder"]:
-            rep = lab.counterexample_sine(n, Ensemble(seed, samples), grid, sched)
-            rows.append(Row("counterexample", "second_moment", rep.second_moment,
-                            n=n, stderr=rep.stderr, samples=samples, seed=seed,
-                            verdict=_verdict(abs(rep.second_moment - 0.25) <= tol * 0.25)))
-            for name, (val, se) in rep.pairings.items():
-                rows.append(Row("counterexample", f"pairing_{name}", val, n=n,
-                                stderr=se, samples=samples, seed=seed,
-                                verdict=_verdict(abs(val) <= 3 * se)))
-    if p["which"] in ("spike", "both"):
-        for n in p["spike_n_ladder"]:
-            rep = lab.counterexample_spike(n, Ensemble(seed, samples), grid, sched)
-            rows.append(Row("counterexample", "spike_variance", rep.variance, n=n,
-                            stderr=rep.variance_stderr, samples=samples, seed=seed,
-                            verdict=_verdict(abs(rep.variance - 1.0) <= tol)))
-            rows.append(Row("counterexample", "spike_mean", rep.mean, n=n,
-                            stderr=rep.mean_stderr, samples=samples, seed=seed,
-                            verdict=_verdict(abs(rep.mean) <= 3 * rep.mean_stderr)))
-            rows.append(Row("counterexample", "spike_tail_fraction", rep.tail_fraction,
-                            n=n, samples=samples, seed=seed))
-            rows.append(Row("counterexample", "spike_l2_norm_sq", rep.l2_norm_sq, n=n,
-                            seed=seed, verdict=_verdict(abs(rep.l2_norm_sq - 1.0) <= 1e-12)))
-            closed = 1.0 / (2.0 * n ** 1.5)
-            rows.append(Row("counterexample", "spike_linear_pairing", rep.linear_pairing,
-                            n=n, seed=seed,
-                            verdict=_verdict(abs(rep.linear_pairing - closed) <= 1e-10)))
+    for rep in reports[:len(sines)]:
+        rows.append(row("second_moment", rep.second_moment, n=rep.n, stderr=rep.stderr,
+                        samples=samples,
+                        verdict=_verdict(abs(rep.second_moment - 0.25) <= tol * 0.25)))
+        for name, (val, se) in rep.pairings.items():
+            rows.append(row(f"pairing_{name}", val, n=rep.n, stderr=se, samples=samples,
+                            verdict=_verdict(abs(val) <= 3 * se)))
+    for rep in reports[len(sines):]:
+        n = rep.n
+        rows += [
+            row("spike_variance", rep.variance, n=n, stderr=rep.variance_stderr,
+                samples=samples, verdict=_verdict(abs(rep.variance - 1.0) <= tol)),
+            row("spike_mean", rep.mean, n=n, stderr=rep.mean_stderr, samples=samples,
+                verdict=_verdict(abs(rep.mean) <= 3 * rep.mean_stderr)),
+            row("spike_tail_fraction", rep.tail_fraction, n=n, samples=samples),
+            row("spike_l2_norm_sq", rep.l2_norm_sq, n=n,
+                verdict=_verdict(abs(rep.l2_norm_sq - 1.0) <= 1e-12)),
+            row("spike_linear_pairing", rep.linear_pairing, n=n,
+                verdict=_verdict(abs(rep.linear_pairing - 1.0 / (2.0 * n ** 1.5)) <= 1e-10)),
+        ]
     return rows
 
 
@@ -499,6 +507,7 @@ def _unit_limit(draw):
 def _run_theorem21(p: dict) -> list[Row]:
     p = apply_defaults("theorem21", p)
     seed, samples = p["seed"], p["samples"]
+    row = partial(Row, "theorem21", seed=seed)
     grid = TimeGrid(1.0, p["time_steps"])
     sched = CouplingSchedule()
     ens = Ensemble(seed, samples)
@@ -512,36 +521,31 @@ def _run_theorem21(p: dict) -> list[Row]:
     rows = []
     gaps = [e.statistic for e in report.entries]
     for e in report.entries:
-        rows.append(Row("theorem21", "weak_gap", e.statistic, n=e.n,
-                        stderr=e.stderr, samples=samples, seed=seed))
-    rows.append(Row("theorem21", "weak_gap_ratio", gaps[-1] / max(gaps[0], 1e-300),
-                    samples=samples, seed=seed,
+        rows.append(row("weak_gap", e.statistic, n=e.n, stderr=e.stderr, samples=samples))
+    rows.append(row("weak_gap_ratio", gaps[-1] / max(gaps[0], 1e-300), samples=samples,
                     verdict=_verdict(gaps[-1] <= gaps[0] / 3.0)))
     i1 = [r.i1_second_moment for r in reports]
     i3 = [r.i3_second_moment for r in reports]
     for r in reports:
-        rows.append(Row("theorem21", "i1_second_moment", r.i1_second_moment,
-                        n=r.n, rho=r.rho, stderr=r.i1_stderr,
-                        samples=dens.replicas, seed=seed))
-        rows.append(Row("theorem21", "i3_second_moment", r.i3_second_moment,
-                        n=r.n, rho=r.rho, stderr=r.i3_stderr,
-                        samples=dens.replicas, seed=seed))
+        rows.append(row("i1_second_moment", r.i1_second_moment, n=r.n, rho=r.rho,
+                        stderr=r.i1_stderr, samples=dens.replicas))
+        rows.append(row("i3_second_moment", r.i3_second_moment, n=r.n, rho=r.rho,
+                        stderr=r.i3_stderr, samples=dens.replicas))
     mono = all(i1[i + 1] < i1[i] for i in range(len(i1) - 1)) and \
         all(i3[i + 1] < i3[i] for i in range(len(i3) - 1))
-    rows.append(Row("theorem21", "decomposition_monotone", float(mono),
-                    n=p["rho_n"], samples=dens.replicas, seed=seed,
-                    verdict=_verdict(mono)))
+    rows.append(row("decomposition_monotone", float(mono), n=p["rho_n"],
+                    samples=dens.replicas, verdict=_verdict(mono)))
     for e in entries:
-        rows.append(Row("theorem21", "negative_control_strong", e.statistic, n=e.n,
-                        stderr=e.stderr, samples=samples, seed=seed))
-    rows.append(Row("theorem21", "negative_control_floor", floor,
-                    samples=samples, seed=seed, verdict=_verdict(ok)))
+        rows.append(row("negative_control_strong", e.statistic, n=e.n, stderr=e.stderr,
+                        samples=samples))
+    rows.append(row("negative_control_floor", floor, samples=samples, verdict=_verdict(ok)))
     return rows
 
 
 def _run_l1mode(p: dict) -> list[Row]:
     p = apply_defaults("l1mode", p)
     seed, samples = p["seed"], p["samples"]
+    row = partial(Row, "l1mode", seed=seed)
     grid = TimeGrid(1.0, p["time_steps"])
     cells = p["cells"]
     sched = CouplingSchedule()
@@ -561,22 +565,21 @@ def _run_l1mode(p: dict) -> list[Row]:
     rows = []
     verdict_suffix = "invalid" if out.invalid else None
     for e in out.report.entries:
-        rows.append(Row("l1mode", "strong_statistic", e.statistic, n=e.n,
-                        stderr=e.stderr, samples=samples, seed=seed,
-                        verdict=verdict_suffix or ""))
+        rows.append(row("strong_statistic", e.statistic, n=e.n, stderr=e.stderr,
+                        samples=samples, verdict=verdict_suffix or ""))
     for n, norm in out.hypothesis_norms.items():
-        rows.append(Row("l1mode", "lp_l1_hypothesis_norm", norm, n=n, seed=seed))
+        rows.append(row("lp_l1_hypothesis_norm", norm, n=n))
     vals = [e.statistic for e in out.report.entries]
     ratio = vals[-1] / max(vals[0], 1e-300)
     verdict = "invalid" if out.invalid else _verdict(ratio <= p["ratio_max"])
-    rows.append(Row("l1mode", "strong_ratio", ratio, samples=samples, seed=seed,
-                    verdict=verdict))
+    rows.append(row("strong_ratio", ratio, samples=samples, verdict=verdict))
     return rows
 
 
 def _run_corollary42(p: dict) -> list[Row]:
     p = apply_defaults("corollary42", p)
     seed, samples = p["seed"], p["samples"]
+    row = partial(Row, "corollary42", seed=seed)
     grid = TimeGrid(1.0, p["time_steps"])
     sched = CouplingSchedule()
     ens = Ensemble(seed, samples)
@@ -592,24 +595,22 @@ def _run_corollary42(p: dict) -> list[Row]:
         lab.distance_statistic(fam, lab.zero_limit, ends, small))
     rows = []
     for e in report.entries:
-        rows.append(Row("corollary42", "strong_statistic", e.statistic, n=e.n,
-                        stderr=e.stderr, samples=samples, seed=seed))
-    rows.append(Row("corollary42", "strong_slope", report.slope,
-                    samples=samples, seed=seed, verdict=_verdict(report.verdict)))
+        rows.append(row("strong_statistic", e.statistic, n=e.n, stderr=e.stderr,
+                        samples=samples))
+    rows.append(row("strong_slope", report.slope, samples=samples,
+                    verdict=_verdict(report.verdict)))
     i2 = [rep.i2_gap for rep in splits]
     for rep in splits:
-        rows.append(Row("corollary42", "i2_gap_fixed_rho", rep.i2_gap, n=rep.n,
-                        rho=p["rho"], stderr=rep.i2_gap_stderr,
-                        samples=small.replicas, seed=seed))
-    rows.append(Row("corollary42", "i2_gap_falls", float(i2[-1] < i2[0]),
-                    rho=p["rho"], seed=seed, verdict=_verdict(i2[-1] < i2[0])))
+        rows.append(row("i2_gap_fixed_rho", rep.i2_gap, n=rep.n, rho=p["rho"],
+                        stderr=rep.i2_gap_stderr, samples=small.replicas))
+    rows.append(row("i2_gap_falls", float(i2[-1] < i2[0]), rho=p["rho"],
+                    verdict=_verdict(i2[-1] < i2[0])))
     dist = [distances[n][0] for n in ends]
     for n in ends:
         d, se = distances[n]
-        rows.append(Row("corollary42", "pairing_l2_distance", d, n=n, stderr=se,
-                        samples=small.replicas, seed=seed))
-    rows.append(Row("corollary42", "pairing_distance_falls", float(dist[-1] < dist[0]),
-                    seed=seed, verdict=_verdict(dist[-1] < dist[0])))
+        rows.append(row("pairing_l2_distance", d, n=n, stderr=se, samples=small.replicas))
+    rows.append(row("pairing_distance_falls", float(dist[-1] < dist[0]),
+                    verdict=_verdict(dist[-1] < dist[0])))
     return rows
 
 
@@ -638,6 +639,7 @@ def _transport_problem(p: dict, n: int | None):
 def _run_transport(p: dict) -> list[Row]:
     p = apply_defaults("transport", p)
     seed, replicas = p["seed"], p["samples"]
+    row = partial(Row, "transport", seed=seed)
     grid = transport_mod.TorusGrid(p["cells"])
     report = transport_mod.stability_experiment(
         {n: _transport_problem(p, n) for n in p["n_ladder"]},
@@ -646,25 +648,23 @@ def _run_transport(p: dict) -> list[Row]:
         refine=p["refine"], snapshots=p["snapshots"])
     rows = []
     for e in report.entries:
-        rows.append(Row("transport", "lp_distance", e.lp_distance, n=e.n,
-                        stderr=e.lp_stderr, samples=replicas, seed=seed))
-        rows.append(Row("transport", "energy_sup", e.energy_sup, n=e.n,
-                        samples=replicas, seed=seed,
-                        verdict=_verdict(e.energy_sup <= report.energy_bound)))
-        rows.append(Row("transport", "sigma_integral_gap", e.sigma_gap, n=e.n,
-                        stderr=e.sigma_gap_stderr, samples=replicas, seed=seed))
-        rows.append(Row("transport", "renorm_integral_gap", e.renorm_gap, n=e.n,
-                        stderr=e.renorm_gap_stderr, samples=replicas, seed=seed))
-        rows.append(Row("transport", "sign_monitor", e.sign_monitor_violation, n=e.n,
-                        samples=replicas, seed=seed,
-                        verdict=_verdict(e.sign_monitor_violation <= 0.0)))
-        for key, val in e.monitors.items():
-            rows.append(Row("transport", f"monitor_{key}", val, n=e.n, seed=seed))
-    rows.append(Row("transport", "hypothesis_monitors", float(report.monitors_ok),
-                    seed=seed, verdict=_verdict(report.monitors_ok)))
-    rows.append(Row("transport", "gronwall_bound", report.energy_bound, seed=seed))
-    rows.append(Row("transport", "lp_distance_ladder", float(bool(report.distances_ok)),
-                    samples=replicas, seed=seed, verdict=_verdict(bool(report.distances_ok))))
+        rows += [
+            row("lp_distance", e.lp_distance, n=e.n, stderr=e.lp_stderr, samples=replicas),
+            row("energy_sup", e.energy_sup, n=e.n, samples=replicas,
+                verdict=_verdict(e.energy_sup <= report.energy_bound)),
+            row("sigma_integral_gap", e.sigma_gap, n=e.n, stderr=e.sigma_gap_stderr,
+                samples=replicas),
+            row("renorm_integral_gap", e.renorm_gap, n=e.n, stderr=e.renorm_gap_stderr,
+                samples=replicas),
+            row("sign_monitor", e.sign_monitor_violation, n=e.n, samples=replicas,
+                verdict=_verdict(e.sign_monitor_violation <= 0.0)),
+        ]
+        rows += [row(f"monitor_{key}", val, n=e.n) for key, val in e.monitors.items()]
+    rows.append(row("hypothesis_monitors", float(report.monitors_ok),
+                    verdict=_verdict(report.monitors_ok)))
+    rows.append(row("gronwall_bound", report.energy_bound))
+    rows.append(row("lp_distance_ladder", float(bool(report.distances_ok)), samples=replicas,
+                    verdict=_verdict(bool(report.distances_ok))))
     # conservation: deterministic path, f = sigma = 0
     cons = transport_mod.TransportProblem(
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x),
@@ -676,8 +676,7 @@ def _run_transport(p: dict) -> list[Row]:
     path = transport_mod.solve_transport(cons, sample_wiener(TimeGrid(0.2, nt), 1, seed, 0), grid)
     means = path.spatial_mean()
     drift = float(np.max(np.abs(means - means[0])))
-    rows.append(Row("transport", "mass_drift", drift, seed=seed,
-                    verdict=_verdict(drift <= 1e-12)))
+    rows.append(row("mass_drift", drift, verdict=_verdict(drift <= 1e-12)))
     return rows
 
 
@@ -711,7 +710,7 @@ def _claw_problem(p: dict, n: int | None):
 def _run_claw(p: dict) -> list[Row]:
     p = apply_defaults("claw", p)
     seed, replicas = p["seed"], p["samples"]
-    rows = []
+    row = partial(Row, "claw", seed=seed)
 
     # deterministic Burgers shock: Rankine-Hugoniot speed
     T = p["shock_horizon"]
@@ -722,18 +721,15 @@ def _run_claw(p: dict) -> list[Row]:
     nt = transport_mod.steps_for_cfl(det, grid, T, multiple_of=16)
     path, measure = claw_mod.solve_claw(det, sample_wiener(TimeGrid(T, nt), 1, seed, 0), grid)
     speed = (claw_mod.shock_position(path, nt) - claw_mod.shock_position(path, 0)) / T
-    rows.append(Row("claw", "shock_speed", speed, seed=seed,
-                    verdict=_verdict(abs(speed - 0.5) <= 2.0 * grid.dx / T)))
+    rows = [row("shock_speed", speed, verdict=_verdict(abs(speed - 0.5) <= 2.0 * grid.dx / T))]
 
     # chi invariants are exact on the same run
     field = claw_mod.kinetic_function(path.values, det)
     chi = field.indicator(nt)
     chi_ok = (set(np.unique(chi)) <= {0, 1}) and bool(np.all(np.diff(chi.astype(int), axis=-1) <= 0))
-    rows.append(Row("claw", "chi_invariants_exact", float(chi_ok), seed=seed,
-                    verdict=_verdict(chi_ok)))
+    rows.append(row("chi_invariants_exact", float(chi_ok), verdict=_verdict(chi_ok)))
     min_bin = float(min(measure.kappa_cum.min(), measure.parabolic_cum.min()))
-    rows.append(Row("claw", "measure_min_bin", min_bin, seed=seed,
-                    verdict=_verdict(min_bin >= 0.0)))
+    rows.append(row("measure_min_bin", min_bin, verdict=_verdict(min_bin >= 0.0)))
 
     # weak kinetic residual under mesh halving
     residuals = []
@@ -747,10 +743,9 @@ def _run_claw(p: dict) -> list[Row]:
             TestFunction.from_callable(cells, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x)),
             -0.4, 1.4)
         residuals.append(abs(claw_mod.kinetic_residual(path2, measure2, det, W2, phi2, T2)))
-        rows.append(Row("claw", "kinetic_residual", residuals[-1], n=cells, seed=seed))
+        rows.append(row("kinetic_residual", residuals[-1], n=cells))
     ratio = residuals[0] / max(residuals[-1], 1e-300)
-    rows.append(Row("claw", "residual_refinement_ratio", ratio, seed=seed,
-                    verdict=_verdict(ratio >= 1.5)))
+    rows.append(row("residual_refinement_ratio", ratio, verdict=_verdict(ratio >= 1.5)))
 
     # stochastic kinetic ladder
     psi = TestFunction.from_callable(p["cells"], lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
@@ -760,21 +755,19 @@ def _run_claw(p: dict) -> list[Row]:
         CouplingSchedule(), transport_mod.TorusGrid(p["cells"]), p["horizon"],
         replicas, seed, phi, refine=p["refine"])
     for e in report.entries:
-        rows.append(Row("claw", "ito_weak_gap", e.ito_gap, n=e.n,
-                        stderr=e.ito_gap_stderr, samples=replicas, seed=seed))
-        rows.append(Row("claw", "chi_weak_star_gap", e.chi_gap, n=e.n,
-                        stderr=e.chi_gap_stderr, samples=replicas, seed=seed))
-        rows.append(Row("claw", "measure_pairing_gap", e.measure_pairing_gap, n=e.n,
-                        samples=replicas, seed=seed))
-        rows.append(Row("claw", "measure_total_mass", e.total_mass, n=e.n,
-                        samples=replicas, seed=seed))
-    rows.append(Row("claw", "hypothesis_monitors", float(report.monitors_ok),
-                    seed=seed, verdict=_verdict(report.monitors_ok)))
-    rows.append(Row("claw", "mass_uniformly_bounded", float(bool(report.mass_ok)),
-                    seed=seed, verdict=_verdict(bool(report.mass_ok))))
+        rows += [
+            row("ito_weak_gap", e.ito_gap, n=e.n, stderr=e.ito_gap_stderr, samples=replicas),
+            row("chi_weak_star_gap", e.chi_gap, n=e.n, stderr=e.chi_gap_stderr,
+                samples=replicas),
+            row("measure_pairing_gap", e.measure_pairing_gap, n=e.n, samples=replicas),
+            row("measure_total_mass", e.total_mass, n=e.n, samples=replicas),
+        ]
+    rows.append(row("hypothesis_monitors", float(report.monitors_ok),
+                    verdict=_verdict(report.monitors_ok)))
+    rows.append(row("mass_uniformly_bounded", float(bool(report.mass_ok)),
+                    verdict=_verdict(bool(report.mass_ok))))
     gaps = [e.ito_gap for e in report.entries]
-    rows.append(Row("claw", "ito_gap_ratio", gaps[-1] / max(gaps[0], 1e-300),
-                    samples=replicas, seed=seed,
+    rows.append(row("ito_gap_ratio", gaps[-1] / max(gaps[0], 1e-300), samples=replicas,
                     verdict=_verdict(gaps[-1] <= gaps[0] / 3.0)))
     return rows
 

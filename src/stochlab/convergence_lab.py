@@ -499,8 +499,8 @@ class SpikeCounterexampleReport:
     samples: int
 
 
-def counterexample_sine(n: int, ensemble: Ensemble, grid: TimeGrid,
-                        schedule: CouplingSchedule | None = None) -> SineCounterexampleReport:
+def sine_statistic(n: int, ensemble: Ensemble, grid: TimeGrid,
+                   schedule: CouplingSchedule | None = None) -> Statistic:
     """F_n = sin(2 pi n omega_0) sin(2 pi n t) on [0, 1], driven by W_n.
 
     The family is weakly null in every pairing, yet E |int F_n dW_n|^2 equals
@@ -525,11 +525,11 @@ def counterexample_sine(n: int, ensemble: Ensemble, grid: TimeGrid,
         moment, se = mean_and_stderr(s["sq"])
         pairings = {name: mean_and_stderr(s["pairs"][:, i]) for i, name in enumerate(duals)}
         return SineCounterexampleReport(n, moment, se, ensemble.replicas, pairings)
-    return run_pass(grid, 1, Statistic(ensemble, sample, finish))[0]
+    return Statistic(ensemble, sample, finish)
 
 
-def counterexample_spike(n: int, ensemble: Ensemble, grid: TimeGrid,
-                         schedule: CouplingSchedule | None = None) -> SpikeCounterexampleReport:
+def spike_statistic(n: int, ensemble: Ensemble, grid: TimeGrid,
+                    schedule: CouplingSchedule | None = None) -> Statistic:
     """f_n = sqrt(n) 1_{[0, 1/n)} on [0, 1]: the integral is sqrt(n) W_n(1/n).
 
     Brownian scaling makes it a standard normal for every n, although f_n is
@@ -549,19 +549,30 @@ def counterexample_spike(n: int, ensemble: Ensemble, grid: TimeGrid,
         dWn = batch.coupled(schedule, n).increments[:, :j_spike, 0]
         return {"integral": root_n * np.sum(dWn, axis=1)}
 
-    (integrals,) = run_pass(grid, 1, Statistic(ensemble, sample, lambda s: s["integral"]))
-    mean, mean_se = mean_and_stderr(integrals)
-    centred_sq = (integrals - mean) ** 2
-    var_sum = float(pairwise_sum(centred_sq))
-    variance = var_sum / (ensemble.replicas - 1)
-    _, var_se = mean_and_stderr(centred_sq)
-    tail = float(pairwise_sum((np.abs(integrals) > 1.96).astype(float)) / ensemble.replicas)
-    # left-node rectangle rule is exact for the grid-aligned step function
-    l2_sq = n * j_spike * grid.dt
-    t_mid = grid.left_nodes[:j_spike] + grid.dt / 2.0
-    linear_pairing = float(root_n * np.sum(t_mid) * grid.dt)
-    return SpikeCounterexampleReport(n, variance, var_se, mean, mean_se, tail,
-                                     l2_sq, linear_pairing, ensemble.replicas)
+    def finish(s):
+        integrals = s["integral"]
+        mean, mean_se = mean_and_stderr(integrals)
+        centred_sq = (integrals - mean) ** 2
+        variance = float(pairwise_sum(centred_sq)) / (ensemble.replicas - 1)
+        _, var_se = mean_and_stderr(centred_sq)
+        tail = float(pairwise_sum((np.abs(integrals) > 1.96).astype(float)) / ensemble.replicas)
+        # left-node rectangle rule is exact for the grid-aligned step function
+        l2_sq = n * j_spike * grid.dt
+        t_mid = grid.left_nodes[:j_spike] + grid.dt / 2.0
+        linear_pairing = float(root_n * np.sum(t_mid) * grid.dt)
+        return SpikeCounterexampleReport(n, variance, var_se, mean, mean_se, tail,
+                                         l2_sq, linear_pairing, ensemble.replicas)
+    return Statistic(ensemble, sample, finish)
+
+
+def counterexample_sine(n: int, ensemble: Ensemble, grid: TimeGrid,
+                        schedule: CouplingSchedule | None = None) -> SineCounterexampleReport:
+    return run_pass(grid, 1, sine_statistic(n, ensemble, grid, schedule))[0]
+
+
+def counterexample_spike(n: int, ensemble: Ensemble, grid: TimeGrid,
+                         schedule: CouplingSchedule | None = None) -> SpikeCounterexampleReport:
+    return run_pass(grid, 1, spike_statistic(n, ensemble, grid, schedule))[0]
 
 
 # ----------------------------------------------------------------------

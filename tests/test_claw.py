@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochlab.claw import (ClawPath, KineticProblem, KineticTestFunction, SigmaXi,
+from stochlab.claw import (KineticProblem, KineticTestFunction, SigmaXi,
                            _march_claw, bounded_smooth_sigma, bump_test_function,
                            burgers_riemann, claw_translation_ensembles,
                            constant_sigma, cubic_flux, kinetic_function,

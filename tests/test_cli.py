@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from stochlab.cli import _run_claw, main, parse_config, run
+from stochlab import convergence_lab as lab
+from stochlab.cli import (_run_claw, _run_counterexample, _run_isometry, main,
+                          parse_config, run)
 from stochlab.errors import ConfigurationError
+from stochlab.processes import Ensemble
+from stochlab.wiener import CouplingSchedule, TimeGrid
 
 SMALL_CONFIG = """\
 [isometry]
@@ -118,17 +122,6 @@ def test_run_missing_section(tmp_path):
         run(str(cfg), "transport", str(tmp_path / "out"))
 
 
-def test_empty_experiment_list_writes_header_only(tmp_path):
-    cfg = tmp_path / "c.ini"
-    cfg.write_text("[run]\nexperiments =\n")
-    out = tmp_path / "out"
-    status = run(str(cfg), "all", str(out))
-    assert status == 0
-    content = (out / "all.csv").read_text()
-    assert content.splitlines() == [
-        "experiment,n,rho,h,statistic,value,stderr,samples,seed,verdict"]
-
-
 def test_counterexample_subcommand_rows(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[counterexample]\nseed = 7\nsamples = 5000\ntime_steps = 256\n"
@@ -148,6 +141,36 @@ def test_counterexample_subcommand_rows(tmp_path):
     for line in lines[1:]:
         parts = line.split(",")
         assert parts[0] == "counterexample" and parts[4] and parts[5] and parts[8]
+
+
+def test_counterexample_one_pass_equals_separate_passes(monkeypatch):
+    # sine 4 and 16 and spike 4 read off one pass give the rows that one
+    # counterexample_sine / counterexample_spike pass per n gives
+    params = {"seed": 7, "samples": 700, "time_steps": 64, "sine_n_ladder": [4, 16],
+              "spike_n_ladder": [4]}
+    one_pass = _run_counterexample(dict(params))
+    grid, ens, sched = TimeGrid(1.0, 64), Ensemble(7, 700), CouplingSchedule()
+    separate = [lab.counterexample_sine(4, ens, grid, sched),
+                lab.counterexample_sine(16, ens, grid, sched),
+                lab.counterexample_spike(4, ens, grid, sched)]
+
+    def replay(grid, k, *statistics):
+        assert len(statistics) == len(separate)
+        return separate
+    monkeypatch.setattr(lab, "run_pass", replay)
+    assert [repr(r) for r in _run_counterexample(dict(params))] == [repr(r) for r in one_pass]
+    assert len(one_pass) == 2 * 4 + 5
+
+
+def test_isometry_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 303 samples and 330 identity paths: one chunk, or chunks of 7 whose
+    # last moment chunk holds 2 replicas
+    params = {"seed": 7, "samples": 303, "time_steps": 64, "identity_paths": 330}
+    monkeypatch.setattr(lab, "_CHUNK", 3000)
+    one_chunk = _run_isometry(dict(params))
+    monkeypatch.setattr(lab, "_CHUNK", 7)
+    assert _run_isometry(dict(params)) == one_chunk
+    assert len(one_chunk) == 13
 
 
 def test_seed_override_changes_values(tmp_path):
@@ -240,17 +263,28 @@ def test_run_claw_fills_schema_defaults():
      "bad value for 'n_ladder' in [transport]: must be positive"),
     ("translate", "seed = 1\nsamples = 2\nn_ladder = 0, 4\n", [],
      "bad value for 'n_ladder' in [translate]: must be positive"),
+    ("counterexample", "seed = 1\nsamples = 1\nwhich = spike\ntime_steps = 64\n"
+     "spike_n_ladder = 4\n", [],
+     "bad value for 'samples' in [counterexample]: must be at least 2"),
+    ("isometry", "seed = 1\nsamples = 1\ntime_steps = 32\n", [],
+     "bad value for 'samples' in [isometry]: must be at least 2"),
+    ("run", "experiments =\n", [],
+     "bad value for 'experiments' in [run]: must be a non-empty list"),
+    ("run", "experiments = mollifier, mollifier\n\n[mollifier]\nseed = 1\nsamples = 2\n", [],
+     "bad value for 'experiments' in [run]: must not repeat an entry"),
 ], ids=["negative_seed", "empty_ladder", "negative_seed_override", "zero_workers",
         "negative_workers", "transport_noise_none", "transport_noise_additive",
         "one_entry_ladder", "unsorted_ladder",
         "repeated_ladder_entry", "one_entry_transport_ladder", "decreasing_claw_ladder",
         "one_entry_det_cells", "one_entry_lag_ladder", "zero_in_transport_ladder",
-        "zero_in_translate_ladder"])
+        "zero_in_translate_ladder", "one_counterexample_sample", "one_isometry_sample",
+        "empty_experiments", "repeated_experiment"])
 def test_bad_values_exit_2_with_configuration_error(tmp_path, capsys, section, text,
                                                     extra, message):
     cfg = tmp_path / "c.ini"
     cfg.write_text(f"[{section}]\n{text}")
-    status = main([section, "--config", str(cfg), "--out", str(tmp_path / "o")] + extra)
+    subcommand = "all" if section == "run" else section
+    status = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")] + extra)
     assert status == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
