@@ -26,9 +26,9 @@ import numpy as np
 
 from ._util import gauss_on_intervals, max_y_gap, pairwise_sum
 from .errors import ConfigurationError, RangeEscapeError
-from .processes import TestFunction, spectral_prolong
-from .transport import (FieldPath, TorusGrid, _explicit_march, _initial_state, _ladder_draws,
-                        _ladder_grids, _check_monitors, _noise_once_per_state,
+from .processes import TestFunction, _test_variables, spectral_prolong
+from .transport import (REFERENCE_PROBE, FieldPath, TorusGrid, _check_monitors,
+                        _explicit_march, _initial_state, _noise_once_per_state, _shared_draw,
                         translation_ensembles)
 from .mollify import bump, bump_derivative
 from .wiener import CouplingSchedule, TimeGrid, WienerPath
@@ -566,8 +566,10 @@ class KineticStabilityReport:
     monitors_ok: bool = True
     mass_ok: bool | None = None
     gaps_ok: bool | None = None
-    translation_traces: dict = field(default_factory=dict)
-    tgrid: TimeGrid | None = None
+    # "time" / "space" -> weak gap between the reference's Ito-pairing sums and
+    # those of its refinement in time / space, on the probe replicas
+    reference_errors: dict = field(default_factory=dict)
+    reference_bound: float | None = None
     notes: list[str] = field(default_factory=list)
 
     def finalize(self, mass_growth_factor: float = 3.0) -> "KineticStabilityReport":
@@ -575,6 +577,7 @@ class KineticStabilityReport:
         self.mass_ok = max(masses) <= mass_growth_factor * max(min(masses), 1e-300)
         gaps = [e.ito_gap for e in self.entries]
         self.gaps_ok = gaps[-1] <= gaps[0] / 3.0
+        self.reference_bound = min(gaps) / 10.0
         return self
 
 
@@ -601,51 +604,55 @@ def kinetic_stability_experiment(problems: dict[int, KineticProblem],
     Per n it reports the weak gap of the kinetic stochastic integral (the
     d_xi(phi sigma_n) chi_n pairing), a weak-star gap of chi_n itself, the
     Y-paired defect-measure convergence monitor, and the total defect mass.
+    The draw and the time grids are transport._shared_draw's: each member and
+    the reference (refine refines space only) march on their own divisor grid
+    of one finest grid, and every Ito sum, chi pairing and m-pairing uses its
+    own solve's grid. The reference's Ito-pairing sums are checked against
+    its refinement in time and in space on the first REFERENCE_PROBE
+    replicas: each weak gap must stay below a tenth of the smallest ito_gap.
     """
     n_values = sorted(problems)
     phi.validate_support(limit.window)
-    worst = problems[n_values[0]]
-    tgrid, fine_grid, fine_tgrid = _ladder_grids(worst, limit, grid, horizon, refine,
-                                                 multiple_of=16)
-    nt = tgrid.steps
-    k = limit.k
-    report = KineticStabilityReport(tgrid=tgrid)
+    report = KineticStabilityReport()
 
     monitor_rows = {n: _coefficient_distances(problems[n], limit) for n in n_values}
     _check_monitors(report, monitor_rows, n_values)
 
-    psi_fine = spectral_prolong(phi.psi.values, refine)
-
-    # chi weak-star duals: time windows against the layer-cake pairing
-    t_left = tgrid.left_nodes
-    chi_duals = [np.ones(nt), np.sin(2 * np.pi * t_left / horizon)]
-
     chi_fn = chi_pairing_fn(phi, limit.window)
+    batch, tgrids, ref_tgrid, check_tgrid = _shared_draw(
+        problems, limit, grid, horizon, refine, 16, seed, replicas)
 
-    dWf, coupled, _, _, ys = _ladder_draws(fine_tgrid, k, seed, replicas, refine, schedule)
-    limit = _noise_once_per_state(limit)
-    ref = _march_claw(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, replicas),
-                      dWf, pairings={"ito": (psi_fine, ito_pairing_fn(limit, phi)),
-                                     "chi": (psi_fine, chi_fn)})
-    ref_ito = np.sum(ref["traces"]["ito"][:, :-1, :] * dWf, axis=(1, 2))
-    # chi weak-star pairing at the coarse left nodes (shared path times)
-    ref_chi = ref["traces"]["chi"][:, :-1:refine, 0]
+    def march(problem, r, tgrid, dW, chi=True, measure_pairing=None):
+        """Solve on grid.refine(r): the result and the Ito sum of the pairing."""
+        mesh = grid.refine(r)
+        psi_r = phi.psi.values if r == 1 else spectral_prolong(phi.psi.values, r)
+        problem = _noise_once_per_state(problem)
+        pairings = {"ito": (psi_r, ito_pairing_fn(problem, phi))}
+        if chi:
+            pairings["chi"] = (psi_r, chi_fn)
+        res = _march_claw(problem, mesh, tgrid, _initial_state(problem, mesh, len(dW)), dW,
+                          pairings=pairings, measure_pairing=measure_pairing)
+        return res, np.sum(res["traces"]["ito"][:, :-1, :] * dW, axis=(1, 2))
+
+    def chi_pairings(res, tgrid):
+        """int chi-pairing(t) d(t) dt against the weak-star duals d, on the solve's grid."""
+        duals = (np.ones(tgrid.steps), np.sin(2 * np.pi * tgrid.left_nodes / horizon))
+        trace = res["traces"]["chi"][:, :-1, 0]
+        return np.stack([trace @ (d * tgrid.dt) for d in duals], axis=1)
+
+    ref, ref_ito = march(limit, refine, ref_tgrid, batch.on(ref_tgrid).W.increments)
+    ref_chi = chi_pairings(ref, ref_tgrid)
+    ys = _test_variables(batch)
 
     for n in n_values:
-        pn = _noise_once_per_state(problems[n])
-        dWn = coupled(n)
-        res = _march_claw(pn, grid, tgrid, _initial_state(pn, grid, replicas), dWn,
-                          pairings={"ito": (phi.psi.values, ito_pairing_fn(pn, phi)),
-                                    "chi": (phi.psi.values, chi_fn)},
-                          measure_pairing=(phi.psi.values, phi.zeta_prime))
-        report.translation_traces[n] = res["traces"]["ito"]
-        i_n = np.sum(res["traces"]["ito"][:, :-1, :] * dWn, axis=(1, 2)) - ref_ito
-        chi_n = res["traces"]["chi"][:, :-1, 0] - ref_chi
-        chi_rows = np.stack([chi_n @ (zd * tgrid.dt) for zd in chi_duals], axis=1)
-        m_pair = res["m_trace"][:, :-1] @ (np.ones(nt) * tgrid.dt)
+        tgrid = tgrids[n]
+        res, ito = march(problems[n], 1, tgrid, batch.on(tgrid).coupled(schedule, n).increments,
+                         measure_pairing=(phi.psi.values, phi.zeta_prime))
+        chi_rows = chi_pairings(res, tgrid) - ref_chi
+        m_pair = res["m_trace"][:, :-1] @ (np.ones(tgrid.steps) * tgrid.dt)
         mass = res["step_mass"].sum(axis=1)
 
-        ito_gap, ito_se = max_y_gap(ys, i_n)
+        ito_gap, ito_se = max_y_gap(ys, ito - ref_ito)
         chi_best = (0.0, 0.0)
         for col in range(chi_rows.shape[1]):
             g, se = max_y_gap(ys, chi_rows[:, col])
@@ -655,6 +662,14 @@ def kinetic_stability_experiment(problems: dict[int, KineticProblem],
         report.entries.append(KineticStabilityEntry(
             n, ito_gap, ito_se, chi_best[0], chi_best[1], m_gap,
             float(pairwise_sum(mass) / replicas), monitor_rows[n]))
+
+    probe = batch.head(min(replicas, REFERENCE_PROBE))
+    dW = probe.on(check_tgrid).W.increments
+    _, in_time = march(limit, refine, check_tgrid, dW, chi=False)
+    _, in_space = march(limit, 2 * refine, check_tgrid, dW, chi=False)
+    y_probe = ys[:len(probe)]
+    report.reference_errors = {"time": max_y_gap(y_probe, ref_ito[:len(probe)] - in_time)[0],
+                               "space": max_y_gap(y_probe, in_time - in_space)[0]}
     return report.finalize()
 
 

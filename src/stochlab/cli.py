@@ -193,7 +193,7 @@ SCHEMAS: dict[str, dict] = {
     },
     "theorem21": {
         "seed": (_seed, _REQUIRED),
-        "samples": (_pos_int, _REQUIRED),
+        "samples": (_samples, _REQUIRED),
         "time_steps": (_pos_int, 256),
         "n_ladder": (_ladder, [1, 4, 16]),
         "rho_ladder": (_float_list, [0.2, 0.1, 0.05]),
@@ -202,7 +202,7 @@ SCHEMAS: dict[str, dict] = {
     },
     "l1mode": {
         "seed": (_seed, _REQUIRED),
-        "samples": (_pos_int, _REQUIRED),
+        "samples": (_samples, _REQUIRED),
         "time_steps": (_pos_int, 256),
         "cells": (_pos_int, 64),
         "n_ladder": (_ladder, [2, 8, 32]),
@@ -211,7 +211,7 @@ SCHEMAS: dict[str, dict] = {
     },
     "corollary42": {
         "seed": (_seed, _REQUIRED),
-        "samples": (_pos_int, _REQUIRED),
+        "samples": (_samples, _REQUIRED),
         "time_steps": (_pos_int, 256),
         "n_ladder": (_ladder, [2, 8, 32]),
         "rho": (_pos_float, 0.1),
@@ -636,6 +636,14 @@ def _transport_problem(p: dict, n: int | None):
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5 + 0.1 * wobble * np.sin(2 * np.pi * x))
 
 
+def _reference_rows(row, report, replicas: int) -> list[Row]:
+    """The ladder's reference-convergence rows: each error within report.reference_bound."""
+    probe = min(replicas, transport_mod.REFERENCE_PROBE)
+    return [row(f"reference_{kind}_error", err, samples=probe,
+                verdict=_verdict(err <= report.reference_bound))
+            for kind, err in report.reference_errors.items()]
+
+
 def _run_transport(p: dict) -> list[Row]:
     p = apply_defaults("transport", p)
     seed, replicas = p["seed"], p["samples"]
@@ -665,6 +673,7 @@ def _run_transport(p: dict) -> list[Row]:
     rows.append(row("gronwall_bound", report.energy_bound))
     rows.append(row("lp_distance_ladder", float(bool(report.distances_ok)), samples=replicas,
                     verdict=_verdict(bool(report.distances_ok))))
+    rows += _reference_rows(row, report, replicas)
     # conservation: deterministic path, f = sigma = 0
     cons = transport_mod.TransportProblem(
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x),
@@ -769,6 +778,7 @@ def _run_claw(p: dict) -> list[Row]:
     gaps = [e.ito_gap for e in report.entries]
     rows.append(row("ito_gap_ratio", gaps[-1] / max(gaps[0], 1e-300), samples=replicas,
                     verdict=_verdict(gaps[-1] <= gaps[0] / 3.0)))
+    rows += _reference_rows(row, report, replicas)
     return rows
 
 

@@ -39,7 +39,7 @@ from .errors import ConfigurationError
 from .ito import batch_ito_integral
 from .mollify import MollifierKernel, mollify_left_nodes
 from .processes import (TEST_VARIABLES, AdaptedProcess, DependencyTag, Ensemble,
-                        TestFunction, _test_variable_matrix, pair)
+                        TestFunction, _test_variables, pair)
 from .wiener import CouplingSchedule, ReplicaBatch, TimeGrid
 
 SLOPE_THRESHOLD = -0.3
@@ -195,12 +195,6 @@ def _reuse_deterministic(family):
             built[n] = V
         return V
     return make
-
-
-def _test_variables(batch: ReplicaBatch) -> np.ndarray:
-    grid, w = batch.grid, batch.W.values[:, :, 0]
-    return _test_variable_matrix(batch.omega0, w[:, -1],
-                                 w[:, grid.node_index(grid.horizon / 2.0)], grid.horizon)
 
 
 def _l2_in_time(process: AdaptedProcess, values: np.ndarray, replicas: int) -> np.ndarray:

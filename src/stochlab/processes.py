@@ -287,3 +287,10 @@ def _test_variable_matrix(omega0: np.ndarray, w_final: np.ndarray,
         np.sqrt(2.0) * np.cos(2 * np.pi * omega0),
         w_half / np.sqrt(T / 2.0),
     ], axis=1)
+
+
+def _test_variables(batch) -> np.ndarray:
+    """_test_variable_matrix of a wiener.ReplicaBatch, W_T and W_{T/2} read off its nodes."""
+    grid, w = batch.grid, batch.W.values[:, :, 0]
+    return _test_variable_matrix(batch.omega0, w[:, -1],
+                                 w[:, grid.node_index(grid.horizon / 2.0)], grid.horizon)

@@ -8,9 +8,13 @@ zero source and zero noise the spatial mean is constant per path to roundoff.
 
 Stability experiments compare viscous solutions u_n (eps = 1/n, data_n,
 coupled drivers W_n) against a fine-mesh solve of the inviscid limit problem
-driven by the same Brownian realization: the fine time grid carries the
-increments and the coarse grid sees their block sums, so both solves read one
-path. The experiment records L^p(Omega x [0,T] x T^1) distances, the uniform
+driven by the same Brownian realization. The increments are drawn once, on the
+finest time grid any solve needs; every solve marches on its own divisor grid
+of it, the coarsest its CFL target allows, and reads block sums of the draw,
+so all solves read one path (the fine/coarse coupling of multilevel Monte
+Carlo). The mesh refinement of the reference is spatial only, and the
+reference is checked against its refinement in time and in space by reported
+rows. The experiment records L^p(Omega x [0,T] x T^1) distances, the uniform
 energy bound against its Gronwall constant, the weak gaps of the two
 stochastic integrals the renormalisation argument needs (the sigma(u) pairing
 and the eta' sigma pairing), and sign monitors for weak limits of
@@ -27,12 +31,14 @@ import numpy as np
 from ._util import (max_y_gap, mean_and_stderr, pairwise_sum,
                     trapezoid_weights)
 from .errors import CFLError, ConfigurationError, SolverBlowupError
-from .processes import (ExponentSet, TestFunction, _test_variable_matrix,
+from .processes import (ExponentSet, TestFunction, _test_variables,
                         spectral_derivative, spectral_prolong)
-from .wiener import (CouplingSchedule, TimeGrid, WienerPath,
-                     aggregate_increments, increment_chunk, initial_chunk)
+from .wiener import (CouplingSchedule, ReplicaBatch, TimeGrid, WienerPath,
+                     increment_chunk)
 
 CFL_LIMIT = 0.9
+# replicas the reference-convergence solves of a ladder run on
+REFERENCE_PROBE = 16
 
 
 @dataclass(frozen=True)
@@ -394,14 +400,17 @@ class TransportStabilityReport:
     distances_ok: bool | None = None
     energy_ok: bool | None = None
     signs_ok: bool | None = None
-    pairing_traces: dict = field(default_factory=dict)  # n -> (R, N_t+1, k) renorm traces
-    tgrid: TimeGrid | None = None
+    # "time" / "space" -> L^p snapshot distance of the reference solve to its
+    # refinement in time / space, on the probe replicas
+    reference_errors: dict = field(default_factory=dict)
+    reference_bound: float | None = None
     notes: list[str] = field(default_factory=list)
 
     def finalize(self) -> "TransportStabilityReport":
         d = [e.lp_distance for e in self.entries]
         self.distances_ok = all(d[i + 1] <= d[i] * (1 + 1e-9) for i in range(len(d) - 1)) \
             and d[-1] <= d[0] / 3.0
+        self.reference_bound = min(d) / 10.0
         self.energy_ok = all(e.energy_sup <= self.energy_bound for e in self.entries)
         self.signs_ok = all(e.sign_monitor_violation <= 0.0 for e in self.entries)
         return self
@@ -413,15 +422,53 @@ def _coefficient_distance(fa, fb, x: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def _ladder_grids(worst, limit, grid: TorusGrid, horizon: float, refine: int,
-                  multiple_of: int) -> tuple[TimeGrid, TorusGrid, TimeGrid]:
-    """Coarse time grid the most viscous member needs, and the reference meshes."""
-    nt = steps_for_cfl(worst, grid, horizon, multiple_of=multiple_of)
-    fine_grid = grid.refine(refine)
-    fine_tgrid = TimeGrid(horizon, nt * refine)
-    if cfl_number(limit, fine_grid, fine_tgrid.dt) > CFL_LIMIT:
-        raise CFLError("limit problem violates CFL on the reference mesh")
-    return TimeGrid(horizon, nt), fine_grid, fine_tgrid
+def _smooth_at_least(q: int) -> int:
+    """Smallest 3-smooth number 2^a 3^b that is >= q; 2^q.bit_length() bounds a and b."""
+    bits = range(q.bit_length() + 1)
+    return min(2 ** a * 3 ** b for a in bits for b in bits if 2 ** a * 3 ** b >= q)
+
+
+def _divisor_at_least(total: int, base: int, need: int) -> int:
+    """Smallest divisor of total that is a multiple of base and >= need."""
+    return next(d for d in range(base, total + 1, base) if total % d == 0 and d >= need)
+
+
+def _shared_draw(problems: dict, limit, grid: TorusGrid, horizon: float, refine: int,
+                 multiple_of: int, seed: int, replicas: int):
+    """The randomness of a coupled ladder, drawn once, and the time grid of each solve.
+
+    The solves are the members on `grid`, the reference (the limit on
+    grid.refine(refine)) and the reference-convergence pair: the limit on that
+    mesh and on grid.refine(2 * refine). W, B and omega0 are drawn on the
+    `finest` grid: the smallest multiple of multiple_of whose quotient by it
+    is 3-smooth and that is at or above every solve's steps_for_cfl count (and
+    three times the reference's, so that some multiple of the reference's
+    grid, at least twice as fine, divides it). Each member and the reference
+    march on the smallest divisor of `finest` that is a multiple of
+    multiple_of and meets their own CFL target; the pair marches on the
+    smallest divisor that is a multiple of the reference's grid, at least
+    twice as fine and within the CFL target of the finer mesh. Every solve
+    reads block sums of the finest increments (ReplicaBatch.on).
+
+    Returns the ReplicaBatch of replicas [0, replicas) on the finest grid, the
+    members' time grids by n, the reference's and the convergence pair's.
+    """
+    def count(problem, mesh):
+        return steps_for_cfl(problem, mesh, horizon, multiple_of=multiple_of)
+
+    counts = {n: count(problems[n], grid) for n in sorted(problems)}
+    ref_count = count(limit, grid.refine(refine))
+    check_count = count(limit, grid.refine(2 * refine))
+    need = max(*counts.values(), check_count, 3 * ref_count)
+    finest = multiple_of * _smooth_at_least(-(-need // multiple_of))
+
+    def on(base, least):
+        return TimeGrid(horizon, _divisor_at_least(finest, base, least))
+
+    ref = on(multiple_of, ref_count)
+    check = on(ref.steps, max(2 * ref.steps, check_count))
+    batch = ReplicaBatch(TimeGrid(horizon, finest), limit.k, seed, 0, replicas)
+    return batch, {n: on(multiple_of, c) for n, c in counts.items()}, ref, check
 
 
 def _check_monitors(report, monitor_rows: dict[int, dict], n_values: list[int]) -> None:
@@ -431,31 +478,6 @@ def _check_monitors(report, monitor_rows: dict[int, dict], n_values: list[int]) 
         if any(vals[i + 1] > vals[i] + 1e-12 for i in range(len(vals) - 1)):
             report.monitors_ok = False
             report.notes.append(f"hypothesis monitor {key} not improving along the ladder")
-
-
-def _ladder_draws(fine_tgrid: TimeGrid, k: int, seed: int, replicas: int,
-                  refine: int, schedule: CouplingSchedule):
-    """Randomness of replicas 0..replicas-1 in a coupled ladder.
-
-    Returns the fine increments, coupled(n) -> coarse increments of W_n (block
-    sums of the fine ones, mixed with B), omega0, W_T and the test-variable
-    matrix.
-    """
-    dWf = increment_chunk(fine_tgrid, k, seed, 0, replicas)
-    dW = aggregate_increments(dWf, refine)
-    if schedule.kind != "identity":
-        dB = aggregate_increments(increment_chunk(fine_tgrid, k, seed, 0, replicas, stream=1),
-                                  refine)
-    omega0, _ = initial_chunk(seed, 0, replicas)
-
-    def coupled(n):
-        a = schedule.coefficient(n)
-        return dW if a == 0.0 else (dW + a * dB) / np.sqrt(1.0 + a * a)
-
-    w_final = dWf.sum(axis=1)[:, 0]
-    w_half = dWf[:, : fine_tgrid.steps // 2, 0].sum(axis=1)
-    ys = _test_variable_matrix(omega0, w_final, w_half, fine_tgrid.horizon)
-    return dWf, coupled, omega0, w_final, ys
 
 
 def _initial_state(problem, grid: TorusGrid, replicas: int) -> np.ndarray:
@@ -509,20 +531,21 @@ def stability_experiment(problems: dict[int, TransportProblem],
                          sign_slack: float = 3.0) -> TransportStabilityReport:
     """Viscous-ladder stability runs against the fine-mesh limit solve.
 
-    The Brownian increments are sampled once on the fine time grid; coarse
-    solves see their block sums, so every resolution reads the same path.
+    The Brownian increments are drawn once, on the finest time grid any solve
+    needs (_shared_draw); each member on `grid` and the reference, the limit
+    on grid.refine(refine), march on their own divisor grids of it and read
+    block sums of the draw, so every solve reads the same path. refine refines
+    space only. The L^p distance compares the `snapshots` nodes all the grids
+    share; every Ito sum and time integral uses its own solve's grid. The
+    reference is checked against its refinement in time and in space, on the
+    first REFERENCE_PROBE replicas: each error must stay below a tenth of the
+    smallest ladder distance.
     """
     n_values = sorted(problems)
     if psi is None:
         psi = TestFunction.one(grid.cells)
     worst = problems[n_values[0]]
-    tgrid, fine_grid, fine_tgrid = _ladder_grids(worst, limit, grid, horizon, refine,
-                                                 multiple_of=snapshots)
-    nt = tgrid.steps
-    k = limit.k
-
-    report = TransportStabilityReport(energy_bound=gronwall_energy_bound(worst, grid, horizon),
-                                      tgrid=tgrid)
+    report = TransportStabilityReport(energy_bound=gronwall_energy_bound(worst, grid, horizon))
 
     # hypothesis monitors: data_n -> data in the configured (grid L^2) norms
     x = grid.x
@@ -538,47 +561,47 @@ def stability_experiment(problems: dict[int, TransportProblem],
         }
     _check_monitors(report, monitor_rows, n_values)
 
-    snap_local = np.arange(0, nt + 1, nt // snapshots)
-    snap_fine = snap_local * refine
-    p = limit.p
-    dx, dt = grid.dx, tgrid.dt
-    snap_w = trapezoid_weights(len(snap_local), horizon / snapshots)
+    batch, tgrids, ref_tgrid, check_tgrid = _shared_draw(
+        problems, limit, grid, horizon, refine, snapshots, seed, replicas)
+    p, dx = limit.p, grid.dx
+    snap_w = trapezoid_weights(snapshots + 1, horizon / snapshots)
 
-    dWf, coupled, omega0, w_final, ys = _ladder_draws(fine_tgrid, k, seed, replicas,
-                                                      refine, schedule)
-    psi_fine = spectral_prolong(psi.values, refine)
-    limit = _noise_once_per_state(limit)
-    ref = _march(limit, fine_grid, fine_tgrid, _initial_state(limit, fine_grid, replicas), dWf,
-                 pairings={"sigma": (psi_fine, _sigma_theta(limit)),
-                           "renorm": (psi_fine, _renorm_theta(limit))},
-                 snap_idx=snap_fine)
-    ref_snaps = ref["snapshots"][:, :, ::refine]
-    ref_sigma = np.sum(ref["traces"]["sigma"][:, :-1, :] * dWf, axis=(1, 2))
-    ref_renorm = np.sum(ref["traces"]["renorm"][:, :-1, :] * dWf, axis=(1, 2))
+    def march(problem, r, tgrid, dW, paired=True):
+        """Solve on grid.refine(r): the result, its snapshots on the `grid`
+        nodes, and the Ito sums of the sigma and renorm pairings."""
+        mesh = grid.refine(r)
+        psi_r = psi.values if r == 1 else spectral_prolong(psi.values, r)
+        problem = _noise_once_per_state(problem)
+        pairings = {"sigma": (psi_r, _sigma_theta(problem)),
+                    "renorm": (psi_r, _renorm_theta(problem))} if paired else None
+        res = _march(problem, mesh, tgrid, _initial_state(problem, mesh, len(dW)), dW,
+                     pairings=pairings,
+                     snap_idx=np.arange(0, tgrid.steps + 1, tgrid.steps // snapshots))
+        ito = {name: np.sum(trace[:, :-1, :] * dW, axis=(1, 2))
+               for name, trace in res.get("traces", {}).items()}
+        return res, res["snapshots"][:, :, ::r], ito
+
+    def lp_distance(a, b):
+        lp_pow = np.einsum("rsx,s->r", np.abs(a - b) ** p, snap_w) * dx
+        mean_pow, se_pow = mean_and_stderr(lp_pow)
+        return mean_pow ** (1.0 / p), se_pow / max(p * mean_pow ** (1.0 - 1.0 / p), 1e-300)
+
+    _, ref_snaps, ref_ito = march(limit, refine, ref_tgrid, batch.on(ref_tgrid).W.increments)
+    ys = _test_variables(batch)
+    w_final, omega0 = batch.W.values[:, -1, 0], batch.omega0
     nonneg = np.stack([np.ones(replicas), w_final ** 2, 1.0 + np.sin(2 * np.pi * omega0)], axis=1)
 
     for n in n_values:
-        pn = _noise_once_per_state(problems[n])
-        dWn = coupled(n)
-        res = _march(pn, grid, tgrid, _initial_state(pn, grid, replicas), dWn,
-                     pairings={"sigma": (psi.values, _sigma_theta(pn)),
-                               "renorm": (psi.values, _renorm_theta(pn))},
-                     snap_idx=snap_local)
-        report.pairing_traces[n] = res["traces"]["renorm"]
-        diff = res["snapshots"] - ref_snaps
-        lp_pow = np.einsum("rsx,s->r", np.abs(diff) ** p, snap_w) * dx
-        # coarse-node Ito sums of the paired integrands
-        tr_sig = res["traces"]["sigma"][:, :-1, :]
-        tr_ren = res["traces"]["renorm"][:, :-1, :]
-        i_sigma = np.sum(tr_sig * dWn, axis=(1, 2)) - ref_sigma
-        i_renorm = np.sum(tr_ren * dWn, axis=(1, 2)) - ref_renorm
+        tgrid = tgrids[n]
+        res, snaps, ito = march(problems[n], 1, tgrid,
+                                batch.on(tgrid).coupled(schedule, n).increments)
+        lp, lp_se = lp_distance(snaps, ref_snaps)
+        i_sigma = ito["sigma"] - ref_ito["sigma"]
+        i_renorm = ito["renorm"] - ref_ito["renorm"]
         energy_sup = 2.0 * res["energy"].max(axis=1)
         # sign monitor: F = -int eta(u) dx <= 0 pathwise
-        f_int = -np.sum(res["energy"], axis=1) * dt
+        f_int = -np.sum(res["energy"], axis=1) * tgrid.dt
 
-        mean_pow, se_pow = mean_and_stderr(lp_pow)
-        lp = mean_pow ** (1.0 / p)
-        lp_se = se_pow / max(p * mean_pow ** (1.0 - 1.0 / p), 1e-300)
         sgap, sgap_se = max_y_gap(ys, i_sigma)
         rgap, rgap_se = max_y_gap(ys, i_renorm)
         worst_sign = -np.inf
@@ -588,6 +611,13 @@ def stability_experiment(problems: dict[int, TransportProblem],
         report.entries.append(StabilityEntry(
             n, lp, lp_se, float(pairwise_sum(energy_sup) / replicas),
             sgap, sgap_se, rgap, rgap_se, worst_sign, monitor_rows[n]))
+
+    probe = batch.head(min(replicas, REFERENCE_PROBE))
+    dW = probe.on(check_tgrid).W.increments
+    _, in_time, _ = march(limit, refine, check_tgrid, dW, paired=False)
+    _, in_space, _ = march(limit, 2 * refine, check_tgrid, dW, paired=False)
+    report.reference_errors = {"time": lp_distance(ref_snaps[:len(probe)], in_time)[0],
+                               "space": lp_distance(in_time, in_space)[0]}
     return report.finalize()
 
 

@@ -310,6 +310,23 @@ class ReplicaBatch:
         part.B = PathBatch(self.grid, lambda: self.B.increments[:m])
         return part
 
+    def on(self, grid: TimeGrid) -> "ReplicaBatch":
+        """The same replicas on a coarser grid whose nodes are nodes of this one.
+
+        The increments of W and B are block sums of this batch's
+        (aggregate_increments), drawn through it; omega0 and normals are shared.
+        """
+        if grid == self.grid:
+            return self
+        if grid.horizon != self.grid.horizon or self.grid.steps % grid.steps:
+            raise GridMismatchError(f"{grid.steps} steps do not divide {self.grid.steps}")
+        factor = self.grid.steps // grid.steps
+        view = copy.copy(self)
+        view.grid = grid
+        view.W = PathBatch(grid, lambda: aggregate_increments(self.W.increments, factor))
+        view.B = PathBatch(grid, lambda: aggregate_increments(self.B.increments, factor))
+        return view
+
     def coupled(self, schedule: CouplingSchedule, n: int) -> PathBatch:
         """W_n = (W + a_n B) / sqrt(1 + a_n^2), increment by increment as couple() mixes."""
         a = schedule.coefficient(n)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from test_transport import check_shared_draw, record_marches
 
+from stochlab import claw
 from stochlab.claw import (KineticProblem, KineticTestFunction, SigmaXi,
                            _march_claw, bounded_smooth_sigma, bump_test_function,
                            burgers_riemann, claw_translation_ensembles,
@@ -12,7 +14,7 @@ from stochlab.errors import (CFLError, ConfigurationError, RangeEscapeError)
 from stochlab.processes import TestFunction
 from stochlab.translation import fit_translation_rate, standard_lag_ladder
 from stochlab.transport import (TorusGrid, TransportProblem, _initial_state, _march,
-                                bounded_smooth_noise, steps_for_cfl)
+                                _shared_draw, bounded_smooth_noise, steps_for_cfl)
 from stochlab.wiener import CouplingSchedule, TimeGrid, increment_chunk, sample_wiener
 
 GRID = TorusGrid(64)
@@ -227,6 +229,34 @@ def test_kinetic_stability_reduced_scale():
     assert report.mass_ok
     gaps = [e.ito_gap for e in report.entries]
     assert gaps[-1] <= gaps[0] / 3.0
+
+
+def test_kinetic_ladder_solves_share_one_finest_draw(monkeypatch):
+    ladder, limit, grid = ({n: make_kinetic_ladder(n) for n in (2, 8, 16)},
+                           make_kinetic_limit(), TorusGrid(32))
+    psi = TestFunction.from_callable(32, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    batch, tgrids, ref, check = _shared_draw(ladder, limit, grid, 0.15, 2, 16, 13, 4)
+    solves = record_marches(monkeypatch, claw, "_march_claw")
+    report = kinetic_stability_experiment(ladder, limit, CouplingSchedule(), grid, horizon=0.15,
+                                          replicas=4, seed=13,
+                                          phi=bump_test_function(psi, -0.9, 1.9), refine=2)
+    assert [(g.cells, t.steps) for _, g, t, _ in solves] == (
+        [(64, ref.steps)] + [(32, tgrids[n].steps) for n in (2, 8, 16)]
+        + [(64, check.steps), (128, check.steps)])
+    assert check.steps == 2 * ref.steps
+    check_shared_draw(solves, batch.grid, 16, 13, 32, CouplingSchedule())
+    assert set(report.reference_errors) == {"time", "space"}
+
+
+def test_kinetic_shared_draw_at_the_acceptance_scale():
+    from stochlab.cli import _claw_problem, apply_defaults
+    p = apply_defaults("claw", {"seed": 1, "samples": 2})
+    batch, tgrids, ref, check = _shared_draw(
+        {n: _claw_problem(p, n) for n in (2, 8, 16)}, _claw_problem(p, None),
+        TorusGrid(64), 0.2, 4, 16, 1, 2)
+    assert batch.grid.steps == 2048
+    assert [tgrids[n].steps for n in (2, 8, 16)] == [2048, 1024, 512]
+    assert (ref.steps, check.steps) == (256, 512)
 
 
 def test_claw_translation_slopes():

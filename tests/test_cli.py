@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from stochlab import claw as claw_mod
 from stochlab import convergence_lab as lab
+from stochlab import transport as transport_mod
 from stochlab.cli import (_run_claw, _run_counterexample, _run_isometry, main,
                           parse_config, run)
 from stochlab.errors import ConfigurationError
@@ -268,6 +270,12 @@ def test_run_claw_fills_schema_defaults():
      "bad value for 'samples' in [counterexample]: must be at least 2"),
     ("isometry", "seed = 1\nsamples = 1\ntime_steps = 32\n", [],
      "bad value for 'samples' in [isometry]: must be at least 2"),
+    ("theorem21", "seed = 1\nsamples = 1\ntime_steps = 16\n", [],
+     "bad value for 'samples' in [theorem21]: must be at least 2"),
+    ("l1mode", "seed = 1\nsamples = 1\ntime_steps = 16\n", [],
+     "bad value for 'samples' in [l1mode]: must be at least 2"),
+    ("corollary42", "seed = 1\nsamples = 1\ntime_steps = 16\n", [],
+     "bad value for 'samples' in [corollary42]: must be at least 2"),
     ("run", "experiments =\n", [],
      "bad value for 'experiments' in [run]: must be a non-empty list"),
     ("run", "experiments = mollifier, mollifier\n\n[mollifier]\nseed = 1\nsamples = 2\n", [],
@@ -278,6 +286,7 @@ def test_run_claw_fills_schema_defaults():
         "repeated_ladder_entry", "one_entry_transport_ladder", "decreasing_claw_ladder",
         "one_entry_det_cells", "one_entry_lag_ladder", "zero_in_transport_ladder",
         "zero_in_translate_ladder", "one_counterexample_sample", "one_isometry_sample",
+        "one_theorem21_sample", "one_l1mode_sample", "one_corollary42_sample",
         "empty_experiments", "repeated_experiment"])
 def test_bad_values_exit_2_with_configuration_error(tmp_path, capsys, section, text,
                                                     extra, message):
@@ -287,6 +296,36 @@ def test_bad_values_exit_2_with_configuration_error(tmp_path, capsys, section, t
     status = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")] + extra)
     assert status == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("section, text, module, refined_cells, shift", [
+    ("transport", "cells = 32\nhorizon = 0.1\nsnapshots = 8\n", transport_mod, 256, 0.5),
+    ("claw", "cells = 32\nhorizon = 0.1\nrefine = 2\ndet_cells = 32, 64\n"
+     "shock_horizon = 0.2\n", claw_mod, 128, 0.3),
+])
+def test_unconverged_reference_fails_its_row(tmp_path, monkeypatch, section, text, module,
+                                             refined_cells, shift):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\nseed = 3\nsamples = 4\n{text}")
+
+    def verdicts(out):
+        lines = (out / f"{section}.csv").read_text().splitlines()
+        return {f[4]: f[9] for f in (line.split(",") for line in lines)
+                if f[4].startswith("reference_")}
+
+    assert run(str(cfg), section, str(tmp_path / "ok"), workers=1) == 0
+    assert verdicts(tmp_path / "ok") == {"reference_time_error": "pass",
+                                         "reference_space_error": "pass"}
+    # planted defect: the reference's refinement in space starts from a shifted datum
+    original = module._initial_state
+
+    def shifted(problem, grid, replicas):
+        u0 = original(problem, grid, replicas)
+        return u0 + shift if grid.cells == refined_cells else u0
+    monkeypatch.setattr(module, "_initial_state", shifted)
+    assert run(str(cfg), section, str(tmp_path / "bad"), workers=1) == 1
+    assert verdicts(tmp_path / "bad") == {"reference_time_error": "pass",
+                                          "reference_space_error": "fail"}
 
 
 def test_failed_verdicts_name_n_value_and_stderr(tmp_path, capsys):

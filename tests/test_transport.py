@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from stochlab import transport
 from stochlab.errors import CFLError, ConfigurationError
 from stochlab.processes import TestFunction
 from stochlab.transport import (AdditiveNoise, FieldPath, StateNoise, TorusGrid,
-                                TransportProblem, _initial_state, _march, _renorm_theta,
+                                TransportProblem, _divisor_at_least, _initial_state, _march,
+                                _renorm_theta, _shared_draw, _smooth_at_least,
                                 bounded_smooth_noise,
                                 cfl_number, gronwall_energy_bound,
                                 renormalized_pairing, solve_transport,
@@ -12,7 +14,8 @@ from stochlab.transport import (AdditiveNoise, FieldPath, StateNoise, TorusGrid,
                                 transport_translation_ensembles,
                                 variance_inequality_residuals, weak_residual)
 from stochlab.translation import fit_translation_rate, standard_lag_ladder
-from stochlab.wiener import CouplingSchedule, TimeGrid, increment_chunk, sample_wiener
+from stochlab.wiener import (STREAM_B, CouplingSchedule, TimeGrid, aggregate_increments,
+                             increment_chunk, sample_wiener)
 
 GRID = TorusGrid(64)
 
@@ -223,6 +226,68 @@ def test_stability_experiment_reduced_scale():
     assert d[2] <= d[0] / 3.0
     assert report.energy_ok
     assert report.signs_ok
+
+
+def record_marches(monkeypatch, module, marcher):
+    """Patch module.marcher to record (problem, grid, tgrid, dW) of every solve."""
+    solves = []
+    original = getattr(module, marcher)
+
+    def spy(problem, grid, tgrid, u0, dW, *args, **kwargs):
+        solves.append((problem, grid, tgrid, dW))
+        return original(problem, grid, tgrid, u0, dW, *args, **kwargs)
+    monkeypatch.setattr(module, marcher, spy)
+    return solves
+
+
+def check_shared_draw(solves, finest, multiple_of, seed, ladder_cells, schedule):
+    """Every solve marches on a divisor grid of the finest one at CFL <= 0.45 and
+    reads block sums of the finest draw of W (the limit) or of W and B mixed (a member)."""
+    dW_fine = increment_chunk(finest, 2, seed, 0, len(solves[0][3]))
+    dB_fine = increment_chunk(finest, 2, seed, 0, len(solves[0][3]), stream=STREAM_B)
+    for problem, grid, tgrid, dW in solves:
+        assert finest.steps % tgrid.steps == 0 and tgrid.steps % multiple_of == 0
+        assert transport.cfl_number(problem, grid, tgrid.dt) <= 0.45 + 1e-12
+        factor, rows = finest.steps // tgrid.steps, len(dW)
+        w = aggregate_increments(dW_fine[:rows], factor)
+        w_final = dW_fine[:rows].sum(axis=1)
+        if problem.epsilon == 0.0:
+            assert np.array_equal(dW, w)
+        else:
+            assert grid.cells == ladder_cells
+            a = schedule.coefficient(round(1.0 / problem.epsilon))
+            b = aggregate_increments(dB_fine[:rows], factor)
+            assert np.array_equal(dW, (w + a * b) * (1.0 / np.sqrt(1.0 + a * a)))
+            w_final = (w_final + a * dB_fine[:rows].sum(axis=1)) / np.sqrt(1.0 + a * a)
+        assert np.max(np.abs(dW.sum(axis=1) - w_final)) <= 1e-12
+
+
+def test_ladder_solves_share_one_finest_draw(monkeypatch):
+    ladder, limit, grid = {n: make_ladder(n) for n in (2, 8, 32)}, make_limit(), TorusGrid(32)
+    batch, tgrids, ref, check = _shared_draw(ladder, limit, grid, 0.2, 4, 16, 11, 5)
+    solves = record_marches(monkeypatch, transport, "_march")
+    report = stability_experiment(ladder, limit, CouplingSchedule(), grid, horizon=0.2,
+                                  replicas=5, seed=11, snapshots=16)
+    # members, the reference, and the reference in time and in space on the probe
+    assert [(g.cells, t.steps) for _, g, t, _ in solves] == (
+        [(128, ref.steps)] + [(32, tgrids[n].steps) for n in (2, 8, 32)]
+        + [(128, check.steps), (256, check.steps)])
+    assert check.steps == 2 * ref.steps
+    check_shared_draw(solves, batch.grid, 16, 11, 32, CouplingSchedule())
+    assert set(report.reference_errors) == {"time", "space"}
+
+
+def test_shared_draw_at_the_acceptance_scale():
+    from stochlab.cli import _transport_problem, apply_defaults
+    p = apply_defaults("transport", {"seed": 1, "samples": 2})
+    batch, tgrids, ref, check = _shared_draw(
+        {n: _transport_problem(p, n) for n in (2, 8, 32)}, _transport_problem(p, None),
+        TorusGrid(128), 0.25, 4, 64, 1, 2)
+    assert batch.grid.steps == 9216
+    assert [tgrids[n].steps for n in (2, 8, 32)] == [9216, 3072, 768]
+    assert (ref.steps, check.steps) == (256, 512)
+    assert [_smooth_at_least(q) for q in (1, 5, 121, 144, 145)] == [1, 6, 128, 144, 162]
+    assert _divisor_at_least(27 * 16, 16, 100) == 144
 
 
 def test_solver_pairing_traces_are_predictable_integrands():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochlab.errors import ConfigurationError, GridMismatchError
-from stochlab.wiener import (CouplingSchedule, ReplicaDraw, TimeGrid, WienerPath,
+from stochlab.wiener import (CouplingSchedule, ReplicaBatch, ReplicaDraw, TimeGrid, WienerPath,
                              aggregate_increments, couple, increment_chunk,
                              initial_chunk,
                              sample_wiener, sup_distance)
@@ -152,3 +152,17 @@ def test_aggregate_increments_restricts_the_path():
     W = sample_wiener(g_fine, 1, seed=17, replica=0)
     coarse = aggregate_increments(W.increments, 4)
     assert np.allclose(np.cumsum(coarse, axis=0)[:, 0], W.values[4::4, 0])
+
+
+def test_replica_batch_on_a_coarser_grid_reads_block_sums():
+    fine = ReplicaBatch(TimeGrid(1.0, 48), 2, seed=19, lo=2, hi=5)
+    coarse = fine.on(TimeGrid(1.0, 12))
+    assert fine.on(fine.grid) is fine
+    assert np.array_equal(coarse.W.increments, aggregate_increments(fine.W.increments, 4))
+    assert np.array_equal(coarse.B.increments, aggregate_increments(fine.B.increments, 4))
+    assert np.array_equal(coarse.omega0, fine.omega0)
+    assert np.allclose(coarse.W.values[:, -1], fine.W.values[:, -1], rtol=0, atol=1e-12)
+    with pytest.raises(GridMismatchError):
+        fine.on(TimeGrid(1.0, 36))
+    with pytest.raises(GridMismatchError):
+        fine.on(TimeGrid(2.0, 12))
