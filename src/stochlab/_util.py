@@ -8,8 +8,10 @@ import numpy as np
 def pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum along `axis` with a fixed binary-tree order.
 
-    The tree splits at the midpoint recursively, so the result is bitwise
-    independent of how the entries were produced (replica chunk size included).
+    Each level adds adjacent pairs and carries an odd last entry up, so 5
+    entries sum as ((a0 + a1) + (a2 + a3)) + a4. The order depends on the
+    length alone: the result is bitwise independent of how the entries were
+    produced (replica chunk size included).
     """
     a = np.asarray(a)
     a = np.moveaxis(a, axis, 0)

@@ -6,10 +6,10 @@ per experiment with the fixed column set
 
     experiment, n, rho, h, statistic, value, stderr, samples, seed, verdict
 
-and exits 0 iff every verdict-bearing row passed, 1 when a verdict failed, 2
-on a configuration error and 3 when a solver failed (a CFL violation, an
-escape from the kinetic window or a blow-up): that experiment's CSV then holds
-one `error` row naming the failure. Runs are single-threaded.
+and exits 0 iff every verdict-bearing row passed, 1 when a verdict failed or
+read invalid, 2 on a configuration error and 3 when a solver failed (a CFL
+violation, an escape from the kinetic window or a blow-up): that experiment's
+CSV then holds one `error` row naming the failure. Runs are single-threaded.
 Reruns with identical config bytes produce identical CSV bytes: replica
 streams are indexed, reductions are pairwise over replica-ordered arrays, and
 floats are formatted with a fixed %.12g.
@@ -17,7 +17,8 @@ floats are formatted with a fixed %.12g.
 Every Monte Carlo runner of the lab (isometry, counterexample, theorem21,
 l1mode, corollary42) reads its replicas off one convergence_lab.run_pass and
 draws none of its own; each runner builds its rows with one `row` that binds
-the experiment name and the seed.
+the experiment name and the seed. The library measures; the runners judge,
+and every threshold of a ladder verdict is written once, below.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import transport as transport_mod
 from .mollify import (MollifierKernel, adjoint_mollify,
                       adjoint_mollify_derivative, mollify, mollify_derivative,
                       time_inner)
-from ._util import mean_and_stderr, trapezoid_weights
+from ._util import log_log_slope, mean_and_stderr, trapezoid_weights
 from .errors import CFLError, ConfigurationError, RangeEscapeError, SolverBlowupError
 from .ito import discrete_ito_identity_residual
 from .processes import AdaptedProcess, Ensemble, TestFunction
@@ -51,6 +52,14 @@ CSV_HEADER = ["experiment", "n", "rho", "h", "statistic", "value", "stderr",
 
 EXPERIMENTS = ["isometry", "mollifier", "translate", "counterexample",
                "theorem21", "l1mode", "corollary42", "transport", "claw"]
+
+# Thresholds of the verdicts: declared engineering choices, not theorems.
+LADDER_FALL = 3.0        # a falling ladder ends at most a third of where it starts
+SLOPE_MAX = -0.3         # ... or has a fitted log-log slope at most this
+REFERENCE_SHARE = 10.0   # reference errors stay within a tenth of the smallest ladder value
+MASS_GROWTH = 3.0        # the defect mass stays within 3x its ladder minimum
+ROUNDOFF = 1e-12         # what an exact identity or a steady monitor may miss by
+DISTANCE_SLACK = 1e-9    # relative roundoff a falling distance may rise by
 
 
 @dataclass
@@ -226,9 +235,6 @@ SCHEMAS: dict[str, dict] = {
         "refine": (_pos_int, 4),
         "velocity": (_choice("smooth", "constant"), "smooth"),
         "velocity_scale": (_float, 0.5),
-        # an additive field is built on `cells` but paired on the refined
-        # reference grid too, so only the state-dependent noise can run
-        "noise": (_choice("state"), "state"),
         "noise_amplitude": (_float, 0.15),
     },
     "claw": {
@@ -308,6 +314,10 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _falls(values: list[float]) -> bool:
+    return values[-1] <= values[0] / LADDER_FALL
+
+
 def _rows_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v. BLAS gemv sums rows in blocks of four and a leftover row another
     way, so zero rows pad a to whole blocks: a row's value is chunk-independent."""
@@ -357,7 +367,7 @@ def _run_isometry(p: dict) -> list[Row]:
     rows, worst = lab.run_pass(grid, 1, lab.Statistic(Ensemble(seed, samples), sample, finish),
                                lab.Statistic(paths, identity, lambda s: s["residual"].max()))
     return rows + [row("ito_identity_max_rel", worst, samples=paths.replicas,
-                       verdict=_verdict(worst <= 1e-12))]
+                       verdict=_verdict(worst <= ROUNDOFF))]
 
 
 def _run_mollifier(p: dict) -> list[Row]:
@@ -488,7 +498,7 @@ def _run_counterexample(p: dict) -> list[Row]:
                 verdict=_verdict(abs(rep.mean) <= 3 * rep.mean_stderr)),
             row("spike_tail_fraction", rep.tail_fraction, n=n, samples=samples),
             row("spike_l2_norm_sq", rep.l2_norm_sq, n=n,
-                verdict=_verdict(abs(rep.l2_norm_sq - 1.0) <= 1e-12)),
+                verdict=_verdict(abs(rep.l2_norm_sq - 1.0) <= ROUNDOFF)),
             row("spike_linear_pairing", rep.linear_pairing, n=n,
                 verdict=_verdict(abs(rep.linear_pairing - 1.0 / (2.0 * n ** 1.5)) <= 1e-10)),
         ]
@@ -523,7 +533,7 @@ def _run_theorem21(p: dict) -> list[Row]:
     for e in report.entries:
         rows.append(row("weak_gap", e.statistic, n=e.n, stderr=e.stderr, samples=samples))
     rows.append(row("weak_gap_ratio", gaps[-1] / max(gaps[0], 1e-300), samples=samples,
-                    verdict=_verdict(gaps[-1] <= gaps[0] / 3.0)))
+                    verdict=_verdict(_falls(gaps))))
     i1 = [r.i1_second_moment for r in reports]
     i3 = [r.i3_second_moment for r in reports]
     for r in reports:
@@ -560,18 +570,19 @@ def _run_l1mode(p: dict) -> list[Row]:
         return AdaptedProcess(draw.W.grid, vals[:, :, None], "field")
 
     out = lab.l1_torus_mode(grid, 1, beta, fam, limit, sched, p["n_ladder"],
-                            Ensemble(seed, samples), mode="strong",
-                            growth_factor=p["growth_factor"])
+                            Ensemble(seed, samples), mode="strong")
+    # a norm past growth_factor x its minimum: the limit statement does not apply
+    norms = out.hypothesis_norms
+    invalid = max(norms.values()) > p["growth_factor"] * min(norms.values())
     rows = []
-    verdict_suffix = "invalid" if out.invalid else None
     for e in out.report.entries:
         rows.append(row("strong_statistic", e.statistic, n=e.n, stderr=e.stderr,
-                        samples=samples, verdict=verdict_suffix or ""))
-    for n, norm in out.hypothesis_norms.items():
+                        samples=samples, verdict="invalid" if invalid else ""))
+    for n, norm in norms.items():
         rows.append(row("lp_l1_hypothesis_norm", norm, n=n))
     vals = [e.statistic for e in out.report.entries]
     ratio = vals[-1] / max(vals[0], 1e-300)
-    verdict = "invalid" if out.invalid else _verdict(ratio <= p["ratio_max"])
+    verdict = "invalid" if invalid else _verdict(ratio <= p["ratio_max"])
     rows.append(row("strong_ratio", ratio, samples=samples, verdict=verdict))
     return rows
 
@@ -597,8 +608,10 @@ def _run_corollary42(p: dict) -> list[Row]:
     for e in report.entries:
         rows.append(row("strong_statistic", e.statistic, n=e.n, stderr=e.stderr,
                         samples=samples))
-    rows.append(row("strong_slope", report.slope, samples=samples,
-                    verdict=_verdict(report.verdict)))
+    stats = [max(e.statistic, 1e-300) for e in report.entries]
+    slope = log_log_slope([e.n for e in report.entries], stats)
+    rows.append(row("strong_slope", slope, samples=samples,
+                    verdict=_verdict(slope <= SLOPE_MAX or _falls(stats))))
     i2 = [rep.i2_gap for rep in splits]
     for rep in splits:
         rows.append(row("i2_gap_fixed_rho", rep.i2_gap, n=rep.n, rho=p["rho"],
@@ -636,12 +649,19 @@ def _transport_problem(p: dict, n: int | None):
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5 + 0.1 * wobble * np.sin(2 * np.pi * x))
 
 
-def _reference_rows(row, report, replicas: int) -> list[Row]:
-    """The ladder's reference-convergence rows: each error within report.reference_bound."""
+def _ladder_verdicts(row, report, own: list[Row], smallest: float,
+                     replicas: int) -> list[Row]:
+    """The hypothesis-monitor row, the ladder's `own` rows, then the reference rows:
+    no monitor (a data_n -> data distance) may rise along the ladder, and no
+    reference error may pass 1/REFERENCE_SHARE of `smallest`, the least ladder value."""
+    entries = report.entries
+    steady = all(b.monitors[key] <= a.monitors[key] + ROUNDOFF
+                 for a, b in zip(entries, entries[1:]) for key in a.monitors)
     probe = min(replicas, transport_mod.REFERENCE_PROBE)
-    return [row(f"reference_{kind}_error", err, samples=probe,
-                verdict=_verdict(err <= report.reference_bound))
-            for kind, err in report.reference_errors.items()]
+    return [row("hypothesis_monitors", float(steady), verdict=_verdict(steady)), *own] + [
+        row(f"reference_{kind}_error", err, samples=probe,
+            verdict=_verdict(err <= smallest / REFERENCE_SHARE))
+        for kind, err in report.reference_errors.items()]
 
 
 def _run_transport(p: dict) -> list[Row]:
@@ -668,12 +688,12 @@ def _run_transport(p: dict) -> list[Row]:
                 verdict=_verdict(e.sign_monitor_violation <= 0.0)),
         ]
         rows += [row(f"monitor_{key}", val, n=e.n) for key, val in e.monitors.items()]
-    rows.append(row("hypothesis_monitors", float(report.monitors_ok),
-                    verdict=_verdict(report.monitors_ok)))
-    rows.append(row("gronwall_bound", report.energy_bound))
-    rows.append(row("lp_distance_ladder", float(bool(report.distances_ok)), samples=replicas,
-                    verdict=_verdict(bool(report.distances_ok))))
-    rows += _reference_rows(row, report, replicas)
+    d = [e.lp_distance for e in report.entries]
+    falling = all(b <= a * (1 + DISTANCE_SLACK) for a, b in zip(d, d[1:])) and _falls(d)
+    rows += _ladder_verdicts(row, report, [
+        row("gronwall_bound", report.energy_bound),
+        row("lp_distance_ladder", float(falling), samples=replicas, verdict=_verdict(falling)),
+    ], min(d), replicas)
     # conservation: deterministic path, f = sigma = 0
     cons = transport_mod.TransportProblem(
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x),
@@ -685,7 +705,7 @@ def _run_transport(p: dict) -> list[Row]:
     path = transport_mod.solve_transport(cons, sample_wiener(TimeGrid(0.2, nt), 1, seed, 0), grid)
     means = path.spatial_mean()
     drift = float(np.max(np.abs(means - means[0])))
-    rows.append(row("mass_drift", drift, verdict=_verdict(drift <= 1e-12)))
+    rows.append(row("mass_drift", drift, verdict=_verdict(drift <= ROUNDOFF)))
     return rows
 
 
@@ -771,14 +791,14 @@ def _run_claw(p: dict) -> list[Row]:
             row("measure_pairing_gap", e.measure_pairing_gap, n=e.n, samples=replicas),
             row("measure_total_mass", e.total_mass, n=e.n, samples=replicas),
         ]
-    rows.append(row("hypothesis_monitors", float(report.monitors_ok),
-                    verdict=_verdict(report.monitors_ok)))
-    rows.append(row("mass_uniformly_bounded", float(bool(report.mass_ok)),
-                    verdict=_verdict(bool(report.mass_ok))))
+    masses = [e.total_mass for e in report.entries]
+    bounded = max(masses) <= MASS_GROWTH * max(min(masses), 1e-300)
     gaps = [e.ito_gap for e in report.entries]
-    rows.append(row("ito_gap_ratio", gaps[-1] / max(gaps[0], 1e-300), samples=replicas,
-                    verdict=_verdict(gaps[-1] <= gaps[0] / 3.0)))
-    rows += _reference_rows(row, report, replicas)
+    rows += _ladder_verdicts(row, report, [
+        row("mass_uniformly_bounded", float(bounded), verdict=_verdict(bounded)),
+        row("ito_gap_ratio", gaps[-1] / max(gaps[0], 1e-300), samples=replicas,
+            verdict=_verdict(_falls(gaps))),
+    ], min(gaps), replicas)
     return rows
 
 
@@ -865,7 +885,7 @@ def run(config_path: str, subcommand: str, out_dir: str,
             errors.append(f"{name}: {message}")
         _write_csv(out / f"{name}.csv", rows)
         all_rows.extend(rows)
-        failures.extend(_failure(name, r) for r in rows if r.verdict == "fail")
+        failures.extend(_failure(name, r) for r in rows if r.verdict in ("fail", "invalid"))
     if subcommand == "all":
         _write_csv(out / "all.csv", all_rows)
 

@@ -22,9 +22,10 @@ n ladder as the inner loop and the integrand families acting on arrays with a
 leading replica axis. Every per-replica value equals, bit for bit, the one a
 ReplicaDraw of that replica gives.
 
-No convergence rate is guaranteed in general, so every "gap decreasing" verdict is an
-engineering threshold: fitted log-log slope <= -0.3 along the ladder, or
-last-to-first ratio <= 1/3, declared here and in the reports.
+The module measures only. No convergence rate is guaranteed in general, so
+every "gap decreasing" verdict is an engineering threshold (fitted log-log
+slope <= -0.3 along the ladder, or last-to-first ratio <= 1/3), and cli.py
+declares each threshold once and judges the statistics against it.
 """
 
 from __future__ import annotations
@@ -34,16 +35,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import log_log_slope, map_chunks, max_y_gap, mean_and_stderr, pairwise_sum
+from ._util import map_chunks, max_y_gap, mean_and_stderr, pairwise_sum
 from .errors import ConfigurationError
 from .ito import batch_ito_integral
 from .mollify import MollifierKernel, mollify_left_nodes
 from .processes import (TEST_VARIABLES, AdaptedProcess, DependencyTag, Ensemble,
                         TestFunction, _test_variables, pair)
 from .wiener import CouplingSchedule, ReplicaBatch, TimeGrid
-
-SLOPE_THRESHOLD = -0.3
-RATIO_THRESHOLD = 1.0 / 3.0
 
 ProcessFamily = Callable[[ReplicaBatch, int], AdaptedProcess]
 ProcessLimit = Callable[[ReplicaBatch], AdaptedProcess]
@@ -66,24 +64,10 @@ class GapEntry:
 
 @dataclass
 class ConvergenceReport:
-    """Per-n statistics with the declared-threshold verdict."""
+    """Per-n statistics of a gap ladder."""
 
     mode: str
     entries: list[GapEntry] = field(default_factory=list)
-    slope: float | None = None
-    verdict: bool | None = None
-    threshold_note: str = f"slope <= {SLOPE_THRESHOLD} or max/min <= {RATIO_THRESHOLD:.4g} (engineering choice)"
-    invalid: bool = False
-    notes: list[str] = field(default_factory=list)
-
-    def finalize(self) -> "ConvergenceReport":
-        vals = np.array([max(e.statistic, 1e-300) for e in self.entries])
-        ns = np.array([e.n for e in self.entries], dtype=float)
-        if len(vals) >= 2:
-            self.slope = log_log_slope(ns, vals)
-            ratio = vals[-1] / vals[0]
-            self.verdict = bool(self.slope <= SLOPE_THRESHOLD or ratio <= RATIO_THRESHOLD)
-        return self
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +234,7 @@ def scan_statistic(Vn_of: ProcessFamily, V_of: ProcessLimit, schedule: CouplingS
 
     def finish(s):
         entries = [_gap_entry(n, s[n], s.get("y"), mode) for n in n_values]
-        return ConvergenceReport(mode=mode, entries=entries).finalize()
+        return ConvergenceReport(mode=mode, entries=entries)
     return Statistic(ensemble, sample, finish)
 
 
@@ -577,7 +561,6 @@ def counterexample_spike(n: int, ensemble: Ensemble, grid: TimeGrid,
 class L1ModeReport:
     report: ConvergenceReport
     hypothesis_norms: dict = field(default_factory=dict)  # n -> E ||V_n||_{L^p_t L^1_x}^p
-    invalid: bool = False
 
 
 def _norm_statistic(Vn_field: ProcessFamily, n_values: list[int], p: float,
@@ -599,14 +582,10 @@ def _norm_statistic(Vn_field: ProcessFamily, n_values: list[int], p: float,
 def l1_torus_mode(grid: TimeGrid, k: int, beta: TestFunction,
                   Vn_field: ProcessFamily, V_field: ProcessLimit,
                   schedule: CouplingSchedule, n_values: list[int],
-                  ensemble: Ensemble, mode: str = "strong", p: float = 3.0,
-                  growth_factor: float = 2.0) -> L1ModeReport:
-    """Run the gap scan on paired-down field integrands, monitoring the
-    uniform L^p_t L^1_x bound the spatially-extended mode assumes.
-
-    A hypothesis-norm growing past growth_factor times its ladder minimum
-    marks the experiment invalid (not failed): the limit statement would not apply.
-    """
+                  ensemble: Ensemble, mode: str = "strong", p: float = 3.0) -> L1ModeReport:
+    """Run the gap scan on paired-down field integrands, with the hypothesis
+    norms that monitor the uniform L^p_t L^1_x bound the spatially-extended
+    mode assumes (cli.py marks a run whose norms grow invalid)."""
     def paired_family(draw: ReplicaBatch, n: int) -> AdaptedProcess:
         return pair(beta, Vn_field(draw, n))
 
@@ -615,13 +594,6 @@ def l1_torus_mode(grid: TimeGrid, k: int, beta: TestFunction,
 
     # the bound is a monitor, not a statistic: 64 replicas probe it
     probe = Ensemble(ensemble.seed, min(ensemble.replicas, 64))
-    report, norms = run_pass(
+    return L1ModeReport(*run_pass(
         grid, k, scan_statistic(paired_family, paired_limit, schedule, n_values, ensemble, mode),
-        _norm_statistic(Vn_field, n_values, p, probe))
-    floor = min(norms.values())
-    invalid = any(v > growth_factor * floor for v in norms.values())
-    out = L1ModeReport(report, norms, invalid)
-    if invalid:
-        report.invalid = True
-        report.notes.append("uniform L^p_t L^1_x hypothesis violated: experiment invalid")
-    return out
+        _norm_statistic(Vn_field, n_values, p, probe)))

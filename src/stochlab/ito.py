@@ -43,13 +43,13 @@ def ito_integral(V: AdaptedProcess, W: WienerPath, upto: int | None = None):
     raise ConfigurationError("field processes must be paired down before integration")
 
 
-def discrete_ito_identity_residual(W: WienerPath, component: int = 0) -> float:
-    """Relative residual of  sum W dW = (W_T^2 - sum dW^2) / 2  on one path.
+def discrete_ito_identity_residual(W: WienerPath) -> float:
+    """Relative residual of  sum W dW = (W_T^2 - sum dW^2) / 2  on one path's first component.
 
     The identity is algebraic (expand the square), so it holds at machine
     precision for every path.
     """
-    w = W.values[:, component]
+    w = W.values[:, 0]
     dw = np.diff(w)
     lhs = np.dot(w[:-1], dw)
     rhs = 0.5 * (w[-1] ** 2 - np.dot(dw, dw))

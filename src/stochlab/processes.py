@@ -196,10 +196,10 @@ class TestFunction:
                                           lambda x: np.zeros_like(x), lambda x: np.zeros_like(x))
 
 
-def spectral_derivative(values: np.ndarray, order: int, length: float = 1.0) -> np.ndarray:
-    """FFT differentiation of a periodic nodal array."""
+def spectral_derivative(values: np.ndarray, order: int) -> np.ndarray:
+    """FFT differentiation of a periodic nodal array on the unit torus."""
     n = values.size
-    freq = 2j * np.pi * np.fft.rfftfreq(n, d=length / n)
+    freq = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
     coef = np.fft.rfft(values) * freq ** order
     if order % 2 == 1 and n % 2 == 0:
         coef[-1] = 0.0  # Nyquist mode has no meaningful odd derivative

@@ -59,12 +59,11 @@ def translation_modulus(paths: np.ndarray, grid: TimeGrid, h: float) -> ModulusV
 
 @dataclass(frozen=True)
 class TranslationRateFit:
-    """Per-family slopes and the max-over-n uniformity diagnostic."""
+    """Per-family slopes and the max/min-over-n uniformity ratio per lag."""
 
     lags: np.ndarray
     moduli: dict = field(default_factory=dict)     # n -> array of modulus values
     slopes: dict = field(default_factory=dict)     # n -> fitted slope (or EXACT_SLOPE)
-    uniform_max: np.ndarray = field(default=None)  # max over n per lag
     uniform_ratio: np.ndarray = field(default=None)  # max/min over n per lag
 
     def worst_slope(self) -> float:
@@ -74,7 +73,7 @@ class TranslationRateFit:
 
 def fit_translation_rate(ensembles: dict[int, np.ndarray], grid: TimeGrid,
                          lags: list[float]) -> TranslationRateFit:
-    """Least-squares log-log slope per family index, plus the max-over-n modulus per lag.
+    """Least-squares log-log slope per family index, and the max/min modulus ratio over n per lag.
 
     Needs at least 4 lags spanning at least 3 octaves. Degenerate families
     whose moduli all sit below 1e-12 report the 'exact' sentinel rather than
@@ -99,10 +98,8 @@ def fit_translation_rate(ensembles: dict[int, np.ndarray], grid: TimeGrid,
         else:
             slopes[n] = float(np.polyfit(np.log(snapped_lags), np.log(np.maximum(m, 1e-300)), 1)[0])
     table = np.vstack([moduli[n] for n in sorted(moduli)])
-    uniform_max = table.max(axis=0)
     floor = np.maximum(table.min(axis=0), 1e-300)
-    uniform_ratio = uniform_max / floor
-    return TranslationRateFit(snapped_lags, moduli, slopes, uniform_max, uniform_ratio)
+    return TranslationRateFit(snapped_lags, moduli, slopes, table.max(axis=0) / floor)
 
 
 def standard_lag_ladder(grid: TimeGrid, finest: int = 8, coarsest: int = 3) -> list[float]:

@@ -18,7 +18,8 @@ rows. The experiment records L^p(Omega x [0,T] x T^1) distances, the uniform
 energy bound against its Gronwall constant, the weak gaps of the two
 stochastic integrals the renormalisation argument needs (the sigma(u) pairing
 and the eta' sigma pairing), and sign monitors for weak limits of
-sign-definite statistics.
+sign-definite statistics. It measures only: the thresholds that turn these
+measurements into verdicts are written once, in cli.py.
 """
 
 from __future__ import annotations
@@ -46,13 +47,10 @@ class TorusGrid:
     """Periodic grid on the unit torus, nodes x_i = i / cells."""
 
     cells: int
-    dim: int = 1
 
     def __post_init__(self):
         if self.cells < 16:
             raise ConfigurationError(f"need at least 16 cells, got {self.cells}")
-        if self.dim != 1:
-            raise ConfigurationError("only d = 1 is wired up; the schemes are dimension-agnostic")
 
     @property
     def dx(self) -> float:
@@ -67,7 +65,7 @@ class TorusGrid:
         return (np.arange(self.cells) + 0.5) * self.dx
 
     def refine(self, factor: int) -> "TorusGrid":
-        return TorusGrid(self.cells * factor, self.dim)
+        return TorusGrid(self.cells * factor)
 
 
 @dataclass(frozen=True)
@@ -389,31 +387,18 @@ class StabilityEntry:
     renorm_gap: float          # weak gap of the eta' sigma integral
     renorm_gap_stderr: float
     sign_monitor_violation: float  # most positive E[Y * int F] for F <= 0, Y >= 0
-    monitors: dict = field(default_factory=dict)
+    monitors: dict = field(default_factory=dict)  # data_n -> data distances
 
 
 @dataclass
-class TransportStabilityReport:
-    entries: list[StabilityEntry] = field(default_factory=list)
-    energy_bound: float = 0.0
-    monitors_ok: bool = True
-    distances_ok: bool | None = None
-    energy_ok: bool | None = None
-    signs_ok: bool | None = None
-    # "time" / "space" -> L^p snapshot distance of the reference solve to its
-    # refinement in time / space, on the probe replicas
-    reference_errors: dict = field(default_factory=dict)
-    reference_bound: float | None = None
-    notes: list[str] = field(default_factory=list)
+class LadderReport:
+    """Measurements of a transport or kinetic ladder: one entry per n, the
+    reference's distance from its refinement in "time" and "space" on the probe
+    replicas, and the Gronwall energy majorant (transport only)."""
 
-    def finalize(self) -> "TransportStabilityReport":
-        d = [e.lp_distance for e in self.entries]
-        self.distances_ok = all(d[i + 1] <= d[i] * (1 + 1e-9) for i in range(len(d) - 1)) \
-            and d[-1] <= d[0] / 3.0
-        self.reference_bound = min(d) / 10.0
-        self.energy_ok = all(e.energy_sup <= self.energy_bound for e in self.entries)
-        self.signs_ok = all(e.sign_monitor_violation <= 0.0 for e in self.entries)
-        return self
+    entries: list = field(default_factory=list)
+    reference_errors: dict = field(default_factory=dict)
+    energy_bound: float | None = None
 
 
 def _coefficient_distance(fa, fb, x: np.ndarray) -> float:
@@ -471,15 +456,6 @@ def _shared_draw(problems: dict, limit, grid: TorusGrid, horizon: float, refine:
     return batch, {n: on(multiple_of, c) for n, c in counts.items()}, ref, check
 
 
-def _check_monitors(report, monitor_rows: dict[int, dict], n_values: list[int]) -> None:
-    """Flag hypothesis monitors (data_n -> data distances) that do not fall along the ladder."""
-    for key in monitor_rows[n_values[0]]:
-        vals = [monitor_rows[n][key] for n in n_values]
-        if any(vals[i + 1] > vals[i] + 1e-12 for i in range(len(vals) - 1)):
-            report.monitors_ok = False
-            report.notes.append(f"hypothesis monitor {key} not improving along the ladder")
-
-
 def _initial_state(problem, grid: TorusGrid, replicas: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(problem.u0(grid.x), dtype=float)
                            * np.ones(grid.cells), (replicas, grid.cells))
@@ -528,7 +504,7 @@ def stability_experiment(problems: dict[int, TransportProblem],
                          replicas: int, seed: int,
                          psi: TestFunction | None = None,
                          refine: int = 4, snapshots: int = 64,
-                         sign_slack: float = 3.0) -> TransportStabilityReport:
+                         sign_slack: float = 3.0) -> LadderReport:
     """Viscous-ladder stability runs against the fine-mesh limit solve.
 
     The Brownian increments are drawn once, on the finest time grid any solve
@@ -537,15 +513,20 @@ def stability_experiment(problems: dict[int, TransportProblem],
     block sums of the draw, so every solve reads the same path. refine refines
     space only. The L^p distance compares the `snapshots` nodes all the grids
     share; every Ito sum and time integral uses its own solve's grid. The
-    reference is checked against its refinement in time and in space, on the
-    first REFERENCE_PROBE replicas: each error must stay below a tenth of the
-    smallest ladder distance.
+    reference's distances from its refinement in time and in space are
+    measured on the first REFERENCE_PROBE replicas. The thresholds these
+    measurements are judged by live in cli.py.
+
+    The sign monitor scores F = -int eta(u) dx dt <= 0 against nonnegative Y
+    by the largest mean(Y F) - sign_slack * stderr. F <= 0 pathwise and
+    Y >= 0, so the score is never positive: it is a consistency check that
+    cannot fail, and it reads -inf at one replica, where the stderr is inf.
     """
     n_values = sorted(problems)
     if psi is None:
         psi = TestFunction.one(grid.cells)
     worst = problems[n_values[0]]
-    report = TransportStabilityReport(energy_bound=gronwall_energy_bound(worst, grid, horizon))
+    report = LadderReport(energy_bound=gronwall_energy_bound(worst, grid, horizon))
 
     # hypothesis monitors: data_n -> data in the configured (grid L^2) norms
     x = grid.x
@@ -559,7 +540,6 @@ def stability_experiment(problems: dict[int, TransportProblem],
             "f": _coefficient_distance(pn.source, limit.source, x),
             "u0": _coefficient_distance(pn.u0, limit.u0, x),
         }
-    _check_monitors(report, monitor_rows, n_values)
 
     batch, tgrids, ref_tgrid, check_tgrid = _shared_draw(
         problems, limit, grid, horizon, refine, snapshots, seed, replicas)
@@ -618,7 +598,7 @@ def stability_experiment(problems: dict[int, TransportProblem],
     _, in_space, _ = march(limit, 2 * refine, check_tgrid, dW, paired=False)
     report.reference_errors = {"time": lp_distance(ref_snaps[:len(probe)], in_time)[0],
                                "space": lp_distance(in_time, in_space)[0]}
-    return report.finalize()
+    return report
 
 
 def translation_ensembles(march: Callable, problem_of_n: Callable, theta_of: Callable,

@@ -76,7 +76,6 @@ class WienerPath:
     seed: int = 0
     replica: int = 0
     stream: int = STREAM_W
-    derived: bool = False  # True for coupled/aggregated paths
     _increments: np.ndarray | None = None  # exact sampled increments, when known
 
     def __post_init__(self):
@@ -141,18 +140,18 @@ def increment_chunk(
     return out
 
 
-def initial_chunk(seed: int, lo: int, hi: int, n_normals: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """omega_0 uniforms and F_0 normals for replicas lo..hi-1.
+def initial_chunk(seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """omega_0 uniforms and four F_0 normals each for replicas lo..hi-1.
 
     Draw order matches ReplicaDraw.sample, so chunked experiments see the
     exact same initial randomness as per-replica ones.
     """
     omega0 = np.empty(hi - lo)
-    normals = np.empty((hi - lo, n_normals))
+    normals = np.empty((hi - lo, 4))
     for r in range(lo, hi):
         gen = initial_randomness(seed, r)
         omega0[r - lo] = gen.uniform()
-        normals[r - lo] = gen.standard_normal(n_normals)
+        normals[r - lo] = gen.standard_normal(4)
     return omega0, normals
 
 
@@ -173,7 +172,7 @@ def couple(W: WienerPath, B: WienerPath, a: float) -> WienerPath:
     values = np.vstack([np.zeros((1, W.dimension)), np.cumsum(dW, axis=0)])
     return WienerPath(
         W.grid, W.dimension, values, seed=W.seed, replica=W.replica,
-        stream=W.stream, derived=True, _increments=dW,
+        stream=W.stream, _increments=dW,
     )
 
 
@@ -241,11 +240,10 @@ class ReplicaDraw:
     normals: np.ndarray = field(repr=False)
 
     @classmethod
-    def sample(cls, grid: TimeGrid, k: int, seed: int, replica: int,
-               n_normals: int = 4) -> "ReplicaDraw":
+    def sample(cls, grid: TimeGrid, k: int, seed: int, replica: int) -> "ReplicaDraw":
         gen = initial_randomness(seed, replica)
         omega0 = float(gen.uniform())
-        normals = gen.standard_normal(n_normals)
+        normals = gen.standard_normal(4)
         W = sample_wiener(grid, k, seed, replica, STREAM_W)
         B = sample_wiener(grid, k, seed, replica, STREAM_B)
         return cls(seed, replica, W, B, omega0, normals)

@@ -228,6 +228,13 @@ def test_run_claw_fills_schema_defaults():
     assert {"shock_speed", "ito_weak_gap", "ito_gap_ratio"} <= stats
 
 
+# the transport noise is always the state-dependent one, so `noise` is no key
+TRANSPORT_NOISE_KEY = (
+    "unknown key 'noise' in [transport]; accepted: ['cells', 'horizon', 'n_ladder', "
+    "'noise_amplitude', 'refine', 'samples', 'seed', 'snapshots', 'velocity', "
+    "'velocity_scale']")
+
+
 @pytest.mark.parametrize("section, text, extra, message", [
     ("isometry", "seed = -3\nsamples = 10\n", [],
      "bad value for 'seed' in [isometry]: must be non-negative"),
@@ -237,10 +244,8 @@ def test_run_claw_fills_schema_defaults():
      "--seed-override must be non-negative, got -3"),
     ("isometry", "seed = 3\nsamples = 10\n", ["--workers", "0"], "--workers must be >= 1"),
     ("isometry", "seed = 3\nsamples = 10\n", ["--workers=-4"], "--workers must be >= 1"),
-    ("transport", "seed = 1\nsamples = 2\nnoise = none\n", [],
-     "bad value for 'noise' in [transport]: must be one of ('state',)"),
-    ("transport", "seed = 1\nsamples = 2\nnoise = additive\n", [],
-     "bad value for 'noise' in [transport]: must be one of ('state',)"),
+    ("transport", "seed = 1\nsamples = 2\nnoise = none\n", [], TRANSPORT_NOISE_KEY),
+    ("transport", "seed = 1\nsamples = 2\nnoise = additive\n", [], TRANSPORT_NOISE_KEY),
     ("theorem21", "seed = 1\nsamples = 10\nn_ladder = 4\n", [],
      "bad value for 'n_ladder' in [theorem21]: "
      "must be strictly increasing with at least 2 entries"),
@@ -298,6 +303,12 @@ def test_bad_values_exit_2_with_configuration_error(tmp_path, capsys, section, t
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
+def csv_verdicts(out, section):
+    """(statistic, verdict) of every row of the section's CSV, in order."""
+    lines = (out / f"{section}.csv").read_text().splitlines()[1:]
+    return [(f[4], f[9]) for f in (line.split(",") for line in lines)]
+
+
 @pytest.mark.parametrize("section, text, module, refined_cells, shift", [
     ("transport", "cells = 32\nhorizon = 0.1\nsnapshots = 8\n", transport_mod, 256, 0.5),
     ("claw", "cells = 32\nhorizon = 0.1\nrefine = 2\ndet_cells = 32, 64\n"
@@ -309,9 +320,7 @@ def test_unconverged_reference_fails_its_row(tmp_path, monkeypatch, section, tex
     cfg.write_text(f"[{section}]\nseed = 3\nsamples = 4\n{text}")
 
     def verdicts(out):
-        lines = (out / f"{section}.csv").read_text().splitlines()
-        return {f[4]: f[9] for f in (line.split(",") for line in lines)
-                if f[4].startswith("reference_")}
+        return {stat: v for stat, v in csv_verdicts(out, section) if stat.startswith("reference_")}
 
     assert run(str(cfg), section, str(tmp_path / "ok"), workers=1) == 0
     assert verdicts(tmp_path / "ok") == {"reference_time_error": "pass",
@@ -355,3 +364,64 @@ def test_solver_failure_is_an_error_row_and_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"solver error: translate: {message}\n"
     assert (out / "translate.csv").read_text().splitlines()[1:] == [
         f"translate,,,,solver_error: {message},,,,1,error"]
+
+
+LADDER_CONFIGS = {
+    "transport": "cells = 16\nhorizon = 0.1\nsnapshots = 8\n",
+    "claw": "cells = 32\nhorizon = 0.1\nrefine = 2\ndet_cells = 32, 64\nshock_horizon = 0.2\n",
+}
+
+
+def crafted_ladder(section, ladder, monitor, mass):
+    """A LadderReport whose per-n statistic (lp_distance or ito_gap), single
+    hypothesis monitor and defect mass read the given values."""
+    values = zip((2, 8, 16), ladder, monitor, mass)
+    if section == "transport":
+        entries = [transport_mod.StabilityEntry(n, v, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0,
+                                                {"b": m}) for n, v, m, _ in values]
+    else:
+        entries = [claw_mod.KineticStabilityEntry(n, v, 0.0, 0.0, 0.0, 0.0, w, {"F": m})
+                   for n, v, m, w in values]
+    return transport_mod.LadderReport(entries, {"time": 1e-4, "space": 1e-4}, energy_bound=10.0)
+
+
+@pytest.mark.parametrize("section, ladder, monitor, mass, failed", [
+    ("transport", (0.3, 0.1, 0.05), (0.5, 0.1, 0.01), (1.0,) * 3, set()),
+    ("transport", (0.3, 0.4, 0.05), (0.5, 0.1, 0.01), (1.0,) * 3, {"lp_distance_ladder"}),
+    ("transport", (0.3, 0.1, 0.05), (0.5, 0.1, 0.2), (1.0,) * 3, {"hypothesis_monitors"}),
+    ("claw", (0.3, 0.1, 0.05), (0.5, 0.1, 0.01), (1.0, 2.0, 3.0), set()),
+    ("claw", (0.3, 0.1, 0.05), (0.5, 0.1, 0.01), (1.0, 2.0, 3.5), {"mass_uniformly_bounded"}),
+    ("claw", (0.3, 0.1, 0.05), (0.5, 0.1, 0.2), (1.0,) * 3, {"hypothesis_monitors"}),
+], ids=["transport_passes", "transport_rising_distance", "transport_rising_monitor",
+        "claw_passes", "claw_mass_past_3x", "claw_rising_monitor"])
+def test_ladder_verdicts_judge_the_measurements(tmp_path, monkeypatch, section, ladder,
+                                                monitor, mass, failed):
+    report = crafted_ladder(section, ladder, monitor, mass)
+    module, name = ((transport_mod, "stability_experiment") if section == "transport"
+                    else (claw_mod, "kinetic_stability_experiment"))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: report)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{section}]\nseed = 3\nsamples = 4\n{LADDER_CONFIGS[section]}")
+    assert run(str(cfg), section, str(tmp_path / "o"), workers=1) == (1 if failed else 0)
+    verdicts = csv_verdicts(tmp_path / "o", section)
+    assert {stat for stat, v in verdicts if v == "fail"} == failed
+    assert {stat for stat, v in verdicts if v} >= {"hypothesis_monitors",
+                                                  "reference_time_error",
+                                                  "reference_space_error"}
+
+
+@pytest.mark.parametrize("top, ratio_verdict, status", [(2.0, "pass", 0), (2.5, "invalid", 1)],
+                         ids=["norms_within_growth_factor", "norm_past_growth_factor"])
+def test_l1mode_norm_growth_makes_the_run_invalid(tmp_path, monkeypatch, top, ratio_verdict,
+                                                  status):
+    entries = [lab.GapEntry(n, s, 0.01, "strong") for n, s in ((2, 1.0), (8, 0.3), (32, 0.1))]
+    report = lab.L1ModeReport(lab.ConvergenceReport("strong", entries),
+                              {2: 1.0, 8: 1.5, 32: top})
+    monkeypatch.setattr(lab, "l1_torus_mode", lambda *args, **kwargs: report)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[l1mode]\nseed = 3\nsamples = 10\ntime_steps = 16\n")
+    assert run(str(cfg), "l1mode", str(tmp_path / "o"), workers=1) == status
+    verdicts = csv_verdicts(tmp_path / "o", "l1mode")
+    assert verdicts[-1] == ("strong_ratio", ratio_verdict)
+    statistic_verdicts = {v for stat, v in verdicts if stat == "strong_statistic"}
+    assert statistic_verdicts == {"invalid" if status else ""}
