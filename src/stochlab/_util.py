@@ -29,6 +29,14 @@ def pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return a[0]
 
 
+def periodic_shift(a: np.ndarray, shift: int, axis: int = -1) -> np.ndarray:
+    """np.roll(a, shift, axis) for shift = +1 or -1 and a negative axis, as one
+    slice-and-concatenate: the same values with one NumPy call."""
+    tail = (slice(None),) * (-1 - axis)
+    return np.concatenate((a[(..., slice(-shift, None)) + tail],
+                           a[(..., slice(None, -shift)) + tail]), axis=axis)
+
+
 def mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
     """Deterministic Monte Carlo mean and standard error of a 1-d sample array."""
     samples = np.asarray(samples, dtype=float)

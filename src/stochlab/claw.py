@@ -24,11 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import gauss_on_intervals, max_y_gap, pairwise_sum
+from ._util import gauss_on_intervals, max_y_gap, pairwise_sum, periodic_shift
 from .errors import ConfigurationError, RangeEscapeError
 from .processes import TestFunction, _test_variables, spectral_prolong
 from .transport import (REFERENCE_PROBE, FieldPath, LadderReport, TorusGrid, _explicit_march,
-                        _initial_state, _noise_once_per_state, _shared_draw,
+                        _initial_state, _noise_increment, _noise_once_per_state, _shared_draw,
                         translation_ensembles)
 from .mollify import bump, bump_derivative
 from .wiener import CouplingSchedule, TimeGrid, WienerPath
@@ -356,14 +356,17 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
     deposits = None
     if measure_pairing is not None:
         psi_m, zeta_prime = measure_pairing
+        zeta_kappa = zeta_prime(kappa)
         m_trace = np.zeros(lead + (nt + 1,))
+    # step invariants; eps * dt * lap groups as (eps * dt) * lap
+    dt_dx, visc, dx2 = dt / dx, eps * dt, dx ** 2
 
     def step(j, u):
         nonlocal clamped, deposits
         left = u
-        right = np.roll(u, -1, axis=-1)
+        right = periodic_shift(u, -1)
         f_iface = flux.interface(left, right)
-        adv = (f_iface - np.roll(f_iface, 1, axis=-1)) * (dt / dx)
+        adv = (f_iface - periodic_shift(f_iface, 1)) * dt_dx
         u_adv = u - adv
         # Kruzkov bookkeeping on the flux sub-step: the level-kappa defect
         # density is half the clipped residual of the discrete entropy balance,
@@ -371,17 +374,17 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
         if measuring:
             h_iface = _entropy_flux(flux, kappa, left[..., None], right[..., None])
             eta_balance = (np.abs(u[..., None] - kappa)
-                           - (h_iface - np.roll(h_iface, 1, axis=-2)) * (dt / dx))
+                           - (h_iface - periodic_shift(h_iface, 1, axis=-2)) * dt_dx)
             r = eta_balance - np.abs(u_adv[..., None] - kappa)
             if measure_detail:
                 for l in range(len(kappa)):
                     clamped += float(np.sum(np.minimum(r[..., l], 0.0)))
             # C order, as before: the step_mass and measure-pairing sums follow it
             deposits = np.ascontiguousarray(np.maximum(r, 0.0) * (0.5 * dx * dkappa))
-        lap = (right - 2.0 * u + np.roll(u, 1, axis=-1)) / dx ** 2
-        u_new = u_adv + eps * dt * lap
+        lap = (right - 2.0 * u + periodic_shift(u, 1)) / dx2
+        u_new = u_adv + visc * lap
         if dW is not None and sigma is not None:
-            u_new = u_new + np.einsum("...xk,...k->...x", sigma(u), dW[..., j, :])
+            u_new = u_new + _noise_increment(sigma(u), dW[..., j, :])
         return u_new
 
     # the step's parabolic deposits and all bookkeeping, once u_new is known
@@ -395,7 +398,7 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
             return
         parab = None
         if eps > 0.0:
-            grad = (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * dx)
+            grad = (periodic_shift(u, -1) - periodic_shift(u, 1)) / (2.0 * dx)
             parab = eps * grad * grad * (dt * dx)
         step_mass[..., j] = deposits.sum(axis=(-1, -2)) if lead else deposits.sum()
         if parab is not None:
@@ -411,7 +414,7 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
                 parab_cum[snap_pos[j + 1]] = parab_run
         if measure_pairing is not None:
             m_trace[..., j + 1] = m_trace[..., j] + np.einsum(
-                "...xl,x,l->...", deposits, psi_m, zeta_prime(kappa))
+                "...xl,x,l->...", deposits, psi_m, zeta_kappa)
             if parab is not None:
                 m_trace[..., j + 1] += np.einsum("...x,x,...x->...", parab, psi_m,
                                                  zeta_prime(u))

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import (max_y_gap, mean_and_stderr, pairwise_sum,
+from ._util import (max_y_gap, mean_and_stderr, pairwise_sum, periodic_shift,
                     trapezoid_weights)
 from .errors import CFLError, ConfigurationError, SolverBlowupError
 from .processes import (ExponentSet, TestFunction, _test_variables,
@@ -38,6 +38,9 @@ from .wiener import (CouplingSchedule, ReplicaBatch, TimeGrid, WienerPath,
                      increment_chunk)
 
 CFL_LIMIT = 0.9
+# size of the buffer in which the step loop gathers per-cell integrands between
+# reductions: 1 MiB of doubles
+BLOCK_DOUBLES = (1 << 20) // 8
 # replicas the reference-convergence solves of a ladder run on
 REFERENCE_PROBE = 16
 
@@ -197,6 +200,13 @@ def _explicit_march(problem, grid: TorusGrid, tgrid: TimeGrid, u0: np.ndarray,
     name to (psi nodal values, theta) and produces the trace
     t_j -> dx * sum_i psi_i theta(u(t_j))_i in R^k at every node. Returns a
     dict with whatever was requested plus the energy trace and final state.
+
+    Each node writes its per-cell integrands (u * u for the energy, psi times
+    each component of theta(u) for the pairings) into one slot of a buffer of
+    BLOCK_DOUBLES doubles, cells last. When the buffer is full, and after the
+    last node, one pairwise_sum over cells reduces the whole block: the same
+    tree order per row as a reduction per node, so the same bits as
+    _energy_of and _pair_theta of each state.
     """
     dx, nt = grid.dx, tgrid.steps
     cfl = cfl_number(problem, grid, tgrid.dt)
@@ -205,9 +215,7 @@ def _explicit_march(problem, grid: TorusGrid, tgrid: TimeGrid, u0: np.ndarray,
     u = np.array(u0, dtype=float, copy=True)
     lead = u.shape[:-1]
 
-    energy = np.empty(lead + (nt + 1,))
-    energy[..., 0] = _energy_of(u, dx)
-    out: dict = {"energy": energy}
+    out: dict = {}
     if store_full:
         full = out["full"] = np.empty((nt + 1,) + u.shape)
         full[0] = u
@@ -218,13 +226,36 @@ def _explicit_march(problem, grid: TorusGrid, tgrid: TimeGrid, u0: np.ndarray,
         if 0 in snap_pos:
             snaps[..., snap_pos[0], :] = u
     pairings = pairings or {}
-    traces = {}
-    for name, (psi, theta) in pairings.items():
-        probe = theta(u)
-        kk = probe.shape[-1] if probe.ndim > u.ndim else 1
-        traces[name] = np.empty(lead + (nt + 1, kk))
-        traces[name][..., 0, :] = _pair_theta(psi, probe, u.ndim, dx)
 
+    def components(theta, u):
+        """theta(u) with its components on a trailing axis, (..., cells, k)."""
+        probe = theta(u)
+        return probe if probe.ndim > u.ndim else probe[..., None]
+
+    # buffer rows: the energy, then the components of each pairing in turn
+    probes = [components(theta, u) for _, theta in pairings.values()]
+    widths = [probe.shape[-1] for probe in probes]
+    starts = [1 + sum(widths[:i]) for i in range(len(widths))]
+    rows = 1 + sum(widths)
+    block = min(nt + 1, max(1, BLOCK_DOUBLES // (rows * u.size)))
+    buf = np.empty(lead + (rows, block, grid.cells))
+    energy = out["energy"] = np.empty(lead + (nt + 1,))
+    traces = {name: np.empty(lead + (nt + 1, kk)) for name, kk in zip(pairings, widths)}
+
+    def record(node, u, probes):
+        slot = node % block
+        np.multiply(u, u, out=buf[..., 0, slot, :])
+        for (psi, _), probe, r, kk in zip(pairings.values(), probes, starts, widths):
+            for c in range(kk):
+                np.multiply(psi, probe[..., c], out=buf[..., r + c, slot, :])
+        if slot == block - 1 or node == nt:
+            lo, hi = node - slot, node + 1
+            sums = pairwise_sum(buf[..., :slot + 1, :], axis=-1)
+            energy[..., lo:hi] = sums[..., 0, :] * (0.5 * dx)
+            for trace, r, kk in zip(traces.values(), starts, widths):
+                trace[..., lo:hi, :] = sums[..., r:r + kk, :].swapaxes(-1, -2) * dx
+
+    record(0, u, probes)
     for j in range(nt):
         u_new = step(j, u)
         if not np.all(np.isfinite(u_new)):
@@ -232,14 +263,11 @@ def _explicit_march(problem, grid: TorusGrid, tgrid: TimeGrid, u0: np.ndarray,
         if after_step is not None:
             after_step(j, u, u_new)
         u = u_new
-        energy[..., j + 1] = _energy_of(u, dx)
         if store_full:
             full[j + 1] = u
         if (j + 1) in snap_pos:
             snaps[..., snap_pos[j + 1], :] = u
-        for name, (psi, theta) in pairings.items():
-            probe = theta(u)
-            traces[name][..., j + 1, :] = _pair_theta(psi, probe, u.ndim, dx)
+        record(j + 1, u, [components(theta, u) for _, theta in pairings.values()])
 
     out["final"] = u
     if pairings:
@@ -256,23 +284,31 @@ def _march(problem: TransportProblem, grid: TorusGrid, tgrid: TimeGrid,
     b_iface = np.asarray(problem.velocity(grid.x_interfaces), dtype=float) * np.ones(grid.cells)
     bp, bm = np.maximum(b_iface, 0.0), np.minimum(b_iface, 0.0)
     f_cells = np.asarray(problem.source(grid.x), dtype=float) * np.ones(grid.cells)
-    eps, noise = problem.epsilon, problem.noise
-    if dW is None:
-        noise = None
+    noise = problem.noise if dW is not None else None
+    # step invariants; -dt * div + eps * dt * lap groups as (-dt) * div + (eps * dt) * lap
+    source, visc, dx2 = dt * f_cells, problem.epsilon * dt, dx ** 2
 
     def step(j, u):
-        right = np.roll(u, -1, axis=-1)
+        right = periodic_shift(u, -1)
         flux = bp * u + bm * right
-        div = (flux - np.roll(flux, 1, axis=-1)) / dx
-        lap = (right - 2.0 * u + np.roll(u, 1, axis=-1)) / dx ** 2
-        incr = -dt * div + eps * dt * lap + dt * f_cells
-        if isinstance(noise, AdditiveNoise):
-            incr = incr + np.einsum("xk,...k->...x", noise.values, dW[..., j, :])
-        elif noise is not None:
-            incr = incr + np.einsum("...xk,...k->...x", noise(u), dW[..., j, :])
+        div = (flux - periodic_shift(flux, 1)) / dx
+        lap = (right - 2.0 * u + periodic_shift(u, 1)) / dx2
+        incr = -dt * div + visc * lap + source
+        if noise is not None:
+            sigma = noise.values if isinstance(noise, AdditiveNoise) else noise(u)
+            incr = incr + _noise_increment(sigma, dW[..., j, :])
         return u + incr
 
     return _explicit_march(problem, grid, tgrid, u0, step, pairings, store_full, snap_idx)
+
+
+def _noise_increment(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """sum_c sigma[..., c] * dw[..., c, None] for sigma (..., cells, k) and dw
+    (..., k), summed in component order."""
+    incr = sigma[..., 0] * dw[..., 0, None]
+    for c in range(1, sigma.shape[-1]):
+        incr = incr + sigma[..., c] * dw[..., c, None]
+    return incr
 
 
 def _pair_theta(psi: np.ndarray, probe: np.ndarray, u_ndim: int, dx: float) -> np.ndarray:

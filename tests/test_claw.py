@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from test_transport import check_shared_draw, record_marches
+from test_transport import check_shared_draw, record_marches, small_blocks
 
 from stochlab import claw
 from stochlab.claw import (KineticProblem, KineticTestFunction, SigmaXi,
@@ -110,6 +110,20 @@ def test_range_escape_aborts():
     W = sample_wiener(TimeGrid(0.3, nt), 1, seed=5, replica=0)
     with pytest.raises(RangeEscapeError):
         solve_claw(P, W, GRID)
+
+
+def test_range_escape_inside_a_block_names_its_step(monkeypatch):
+    # sigma = 1 and a flat flux: each step moves every cell by its increment,
+    # so a jump of 3 at step 6 leaves the window [-2, 2] at node 7, in the
+    # middle of a block, and the message names step 6
+    P = still_kinetic(sigma=constant_sigma(np.array([1.0])))
+    tgrid = TimeGrid(0.5, 32)
+    dW = np.zeros((2, tgrid.steps, 1))
+    dW[1, 6, 0] = 3.0
+    u0 = _initial_state(P, GRID, 2)
+    small_blocks(monkeypatch, 5, 1, u0.size)
+    with pytest.raises(RangeEscapeError, match=r"at step 6$"):
+        _march_claw(P, GRID, tgrid, u0, dW)
 
 
 def test_cfl_rejection():

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from stochlab import transport
-from stochlab.errors import CFLError, ConfigurationError
+from stochlab._util import pairwise_sum, periodic_shift
+from stochlab.errors import CFLError, ConfigurationError, SolverBlowupError
 from stochlab.processes import TestFunction
 from stochlab.transport import (AdditiveNoise, FieldPath, StateNoise, TorusGrid,
-                                TransportProblem, _divisor_at_least, _initial_state, _march,
-                                _renorm_theta, _shared_draw, _smooth_at_least,
+                                TransportProblem, _divisor_at_least, _energy_of,
+                                _initial_state, _march, _pair_theta, _renorm_theta,
+                                _shared_draw, _smooth_at_least,
                                 bounded_smooth_noise,
                                 cfl_number, gronwall_energy_bound,
                                 renormalized_pairing, solve_transport,
@@ -353,3 +355,78 @@ def test_translation_ensembles_evaluate_sigma_once_per_state():
                         increment_chunk(tgrid, pn.k, seed, 0, replicas),
                         pairings={"trace": (psi, _renorm_theta(pn))})
         assert np.array_equal(ens[n], direct["traces"]["trace"])
+
+
+def small_blocks(monkeypatch, slots, rows, size):
+    """Shrink the step loop's buffer to `slots` nodes of `rows` rows of a state
+    of `size` doubles, and count the reductions the march makes."""
+    monkeypatch.setattr(transport, "BLOCK_DOUBLES", slots * rows * size)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pairwise_sum(*args, **kwargs)
+    monkeypatch.setattr(transport, "pairwise_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one_path", "batched"])
+@pytest.mark.parametrize("marcher", ["transport", "claw"])
+def test_block_reductions_equal_the_per_node_definition(monkeypatch, marcher, lead):
+    # energy and pairing traces gathered over blocks of nodes and reduced once
+    # per block equal, bit for bit, the per-node reductions of the stored field
+    # (_energy_of, _pair_theta): a k = 2 theta and claw's scalar chi pairing,
+    # over several blocks of 5 nodes that end in a partial one
+    from stochlab import claw
+    grid, tgrid = TorusGrid(32), TimeGrid(0.2, 23)
+    u0_fn = lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x)
+    if marcher == "transport":
+        problem = smooth_problem(eps=0.01, noise=bounded_smooth_noise(0.3))
+        march, sigma = _march, problem.noise
+    else:
+        problem = claw.KineticProblem(claw.quadratic_flux(), claw.bounded_smooth_sigma(0.3), 0.01,
+                                      u0_fn, -1.0, 2.0)
+        march, sigma = claw._march_claw, problem.sigma
+    phi = claw.bump_test_function(TestFunction.one(grid.cells), -0.5, 1.5)
+    psi = 1.0 + 0.5 * np.sin(2 * np.pi * grid.x)
+    pairings = {"sigma": (psi, sigma), "chi": (psi, claw.chi_pairing_fn(phi, (-1.0, 2.0)))}
+    u0 = np.broadcast_to(u0_fn(grid.x), lead + (grid.cells,))
+    dW = increment_chunk(tgrid, 2, 31, 0, 3)
+    dW = dW[0] if not lead else dW
+
+    calls = small_blocks(monkeypatch, 5, 1 + 2 + 1, u0.size)
+    res = march(problem, grid, tgrid, u0, dW, pairings=pairings, store_full=True)
+    assert len(calls) == 5                     # blocks of 5, 5, 5, 5 and 4 nodes
+    monkeypatch.undo()
+
+    full = res["full"]                          # (nt + 1,) + lead + (cells,)
+    assert np.array_equal(res["energy"], np.moveaxis(_energy_of(full, grid.dx), 0, -1))
+    for name, (psi_values, theta) in pairings.items():
+        direct = _pair_theta(psi_values, theta(full), full.ndim, grid.dx)
+        assert np.array_equal(res["traces"][name], np.moveaxis(direct, 0, -2))
+    assert res["traces"]["sigma"].shape == lead + (tgrid.steps + 1, 2)
+    assert res["traces"]["chi"].shape == lead + (tgrid.steps + 1, 1)
+
+
+def test_blowup_inside_a_block_names_its_step(monkeypatch):
+    # an infinite increment at step 7 makes the state at node 8 non-finite:
+    # the march stops there, in the middle of a block, and names step 7
+    P = still_problem(noise=AdditiveNoise(np.full((GRID.cells, 1), 0.5)))
+    tgrid = TimeGrid(0.5, 32)
+    dW = increment_chunk(tgrid, 1, 3, 0, 2)
+    dW[1, 7, 0] = np.inf
+    u0 = _initial_state(P, GRID, 2)
+    small_blocks(monkeypatch, 5, 1, u0.size)
+    with pytest.raises(SolverBlowupError) as err:
+        _march(P, GRID, tgrid, u0, dW)
+    assert err.value.step == 7
+
+
+@pytest.mark.parametrize("axis", [-1, -2])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_periodic_shift_is_a_roll_by_one(axis, shift):
+    a = np.arange(2 * 5 * 3, dtype=float).reshape(2, 5, 3)
+    assert np.array_equal(periodic_shift(a, shift, axis), np.roll(a, shift, axis=axis))
+    if axis == -1:
+        line = np.arange(6.0)
+        assert np.array_equal(periodic_shift(line, shift), np.roll(line, shift))
