@@ -125,7 +125,11 @@ def cubic_flux(scale: float = 1.0) -> FluxFamily:
 
 @dataclass(frozen=True)
 class SigmaXi:
-    """Kinetic noise coefficient xi -> sigma(xi) in R^k with derivative."""
+    """Kinetic noise coefficient xi -> sigma(xi) in R^k with derivative.
+
+    fn maps xi of shape (...) to sigma(xi) of shape (..., k) whose components
+    sigma(xi)[..., c] are each C-contiguous, as transport.StateNoise.fn does.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]       # (...,) -> (..., k)
     dfn: Callable[[np.ndarray], np.ndarray]
@@ -144,7 +148,9 @@ def constant_sigma(vector: np.ndarray) -> SigmaXi:
     vec = np.atleast_1d(np.asarray(vector, dtype=float))
 
     def fn(xi):
-        return np.broadcast_to(vec, np.shape(xi) + (vec.size,)).copy()
+        out = np.empty((vec.size,) + np.shape(xi))
+        out[...] = vec.reshape((-1,) + (1,) * np.ndim(xi))
+        return np.moveaxis(out, 0, -1)
 
     def dfn(xi):
         return np.zeros(np.shape(xi) + (vec.size,))
@@ -156,9 +162,12 @@ def bounded_smooth_sigma(amplitude: float, frequency: float = 1.0,
                          linear_tilt: float = 0.0) -> SigmaXi:
     """sigma(xi) = amplitude (sin(f xi), cos(f xi)) + tilt (xi-free smooth mix)."""
     def fn(xi):
-        xi = np.asarray(xi, dtype=float)
-        return amplitude * np.stack([np.sin(frequency * xi + linear_tilt),
-                                     np.cos(frequency * xi)], axis=-1)
+        fxi = frequency * np.asarray(xi, dtype=float)
+        out = np.empty((2,) + fxi.shape)
+        np.sin(fxi + linear_tilt, out=out[0, ...])
+        np.cos(fxi, out=out[1, ...])
+        out *= amplitude
+        return np.moveaxis(out, 0, -1)
 
     def dfn(xi):
         xi = np.asarray(xi, dtype=float)
@@ -303,16 +312,17 @@ def kinetic_function(path_values: np.ndarray, problem: KineticProblem) -> Kineti
 # ----------------------------------------------------------------------
 
 def _entropy_flux(flux: FluxFamily, kappa: float | np.ndarray, left: np.ndarray,
-                  right: np.ndarray) -> np.ndarray:
+                  right: np.ndarray, eo_kappa: tuple) -> np.ndarray:
     """Numerical Kruzkov entropy flux: EO applied to u v kappa minus u ^ kappa.
 
-    kappa may be an array of levels that broadcasts against left and right.
-    The EO parts are pointwise, so each is evaluated once on the states and
-    once on the levels, and u v kappa and u ^ kappa pick their values.
+    kappa may be an array of levels that broadcasts against left and right;
+    eo_kappa is (flux.eo_plus(kappa), flux.eo_minus(kappa)), which a march
+    evaluates once. The EO parts are pointwise, so each is evaluated once on
+    the states, and u v kappa and u ^ kappa pick their values.
     """
     left_above, right_above = left >= kappa, right >= kappa
-    plus_u, plus_k = flux.eo_plus(left), flux.eo_plus(kappa)
-    minus_u, minus_k = flux.eo_minus(right), flux.eo_minus(kappa)
+    plus_k, minus_k = eo_kappa
+    plus_u, minus_u = flux.eo_plus(left), flux.eo_minus(right)
     return ((np.where(left_above, plus_u, plus_k) + np.where(right_above, minus_u, minus_k))
             - (np.where(left_above, plus_k, plus_u) + np.where(right_above, minus_k, minus_u)))
 
@@ -360,6 +370,7 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
         m_trace = np.zeros(lead + (nt + 1,))
     # step invariants; eps * dt * lap groups as (eps * dt) * lap
     dt_dx, visc, dx2 = dt / dx, eps * dt, dx ** 2
+    eo_kappa = flux.eo_plus(kappa), flux.eo_minus(kappa)
 
     def step(j, u):
         nonlocal clamped, deposits
@@ -372,7 +383,7 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
         # density is half the clipped residual of the discrete entropy balance,
         # for all levels at once on a trailing axis
         if measuring:
-            h_iface = _entropy_flux(flux, kappa, left[..., None], right[..., None])
+            h_iface = _entropy_flux(flux, kappa, left[..., None], right[..., None], eo_kappa)
             eta_balance = (np.abs(u[..., None] - kappa)
                            - (h_iface - periodic_shift(h_iface, 1, axis=-2)) * dt_dx)
             r = eta_balance - np.abs(u_adv[..., None] - kappa)
@@ -567,7 +578,8 @@ def _coefficient_distances(pn: KineticProblem, limit: KineticProblem) -> dict:
     return {
         "F": float(np.sum(np.abs(pn.flux.F(xi) - limit.flux.F(xi))) * dxi),
         "Fp": float(np.sum(np.abs(pn.flux.Fp(xi) - limit.flux.Fp(xi))) * dxi),
-        "sigma": float(np.sum(np.abs(pn.sigma(xi) - limit.sigma(xi))) * dxi),
+        # summed in (xi, component) order, whatever the layout of sigma(xi)
+        "sigma": float(np.sum(np.abs(pn.sigma(xi) - limit.sigma(xi)).ravel()) * dxi),
         "sigma_p": float(np.sum(np.abs(pn.sigma.dfn(xi) - limit.sigma.dfn(xi))) * dxi),
     }
 

@@ -32,11 +32,11 @@ _NORMALISATION_CACHE: dict[int, float] = {}
 def bump(u: np.ndarray) -> np.ndarray:
     """Unnormalised C-infinity bump supported in the open interval (0, 1)."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
-    g = u[inside] * (1.0 - u[inside])
-    out[inside] = np.exp(-1.0 / g)
-    return out
+    # u (1 - u) <= 0 outside (0, 1) and fmax sends NaN to 0 too; + 0.0 turns
+    # the -0.0 of u = -0.0 into +0.0, so exp(-1/g) = exp(-inf) = +0.0 there
+    g = np.fmax(u * (1.0 - u), 0.0) + 0.0
+    with np.errstate(divide="ignore"):
+        return np.asarray(np.exp(-1.0 / g))
 
 
 def bump_derivative(u: np.ndarray) -> np.ndarray:

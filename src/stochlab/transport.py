@@ -73,7 +73,12 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class StateNoise:
-    """Multiplicative coefficient u -> sigma(u) in R^k, globally Lipschitz."""
+    """Multiplicative coefficient u -> sigma(u) in R^k, globally Lipschitz.
+
+    fn maps u of shape (...) to sigma(u) of shape (..., k) whose components
+    sigma(u)[..., c] are each C-contiguous: a (k,) + u.shape array seen through
+    np.moveaxis, so every product with one component is a contiguous pass.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]  # (...,) -> (..., k)
     k: int
@@ -102,7 +107,12 @@ def bounded_smooth_noise(amplitude: float, frequency: float = 1.0) -> StateNoise
     noise coefficient satisfied for every p >= 3.
     """
     def fn(u):
-        return amplitude * np.stack([np.sin(frequency * u), np.cos(frequency * u)], axis=-1)
+        fu = frequency * u
+        out = np.empty((2,) + np.shape(fu))
+        np.sin(fu, out=out[0, ...])
+        np.cos(fu, out=out[1, ...])
+        out *= amplitude
+        return np.moveaxis(out, 0, -1)
     return StateNoise(fn, 2, abs(amplitude * frequency), abs(amplitude) * np.sqrt(2.0))
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stochlab.errors import ConfigurationError
 from stochlab.mollify import (MollifierKernel, adjoint_mollify,
-                              adjoint_mollify_derivative, mollify,
+                              adjoint_mollify_derivative, bump, mollify,
                               mollify_derivative, mollify_left_nodes, time_inner)
 from stochlab.wiener import TimeGrid
 
@@ -176,3 +176,29 @@ def test_adjoint_identity_property(rho, seed):
     lhs = time_inner(grid, mollify(K, grid, f), g)
     rhs = time_inner(grid, f, adjoint_mollify(K, grid, g))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+def masked_bump(u):
+    """The bump by its definition: exp(-1 / (u (1 - u))) on (0, 1), +0.0 elsewhere."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = (u > 0.0) & (u < 1.0)
+    g = u[inside] * (1.0 - u[inside])
+    out[inside] = np.exp(-1.0 / g)
+    return out
+
+
+def test_bump_equals_the_masked_definition_bit_for_bit():
+    # the edges of (0, 1) in both signs of zero, the smallest subnormal, the
+    # last double below 1, points outside, NaN and the infinities; each alone
+    # (0-d) and all in one array, compared as bit patterns
+    edges = [-0.0, 0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, 2.0 ** -53, 1e-300, 0.5,
+             -5e-324, -1.0, 1.0 + 2.0 ** -52, 3.0, np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(3)
+    u = np.concatenate([edges, rng.uniform(-0.5, 1.5, 200), np.full(40, -0.0)])
+    with np.errstate(over="ignore"):
+        for x in [*edges, u, u.reshape(5, -1)]:
+            got = bump(x)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+            assert np.array_equal(got.view(np.int64), masked_bump(x).view(np.int64))
+        assert not np.any(np.signbit(bump(u)))

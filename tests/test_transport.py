@@ -430,3 +430,86 @@ def test_periodic_shift_is_a_roll_by_one(axis, shift):
     if axis == -1:
         line = np.arange(6.0)
         assert np.array_equal(periodic_shift(line, shift), np.roll(line, shift))
+
+
+# sigma(u) as the noise factories defined it with np.stack: components interleaved
+def stacked_factories():
+    from stochlab import claw
+    vec = np.array([0.3, -0.15])
+    return {
+        "transport_smooth": (bounded_smooth_noise(0.3, 1.5),
+                             lambda u: 0.3 * np.stack([np.sin(1.5 * u), np.cos(1.5 * u)], axis=-1)),
+        "claw_smooth": (claw.bounded_smooth_sigma(0.25, 1.5, linear_tilt=0.4),
+                        lambda xi: 0.25 * np.stack([np.sin(1.5 * np.asarray(xi) + 0.4),
+                                                    np.cos(1.5 * np.asarray(xi))], axis=-1)),
+        "claw_constant": (claw.constant_sigma(vec),
+                          lambda xi: np.broadcast_to(vec, np.shape(xi) + (2,)).copy()),
+    }
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 16), (2, 3, 16)],
+                         ids=["0d", "one", "1d", "replicas_cells", "nodes_replicas_cells"])
+@pytest.mark.parametrize("factory", ["transport_smooth", "claw_smooth", "claw_constant"])
+def test_noise_factories_give_contiguous_components(factory, shape):
+    # each factory's fn equals its np.stack definition, shape (..., k), and
+    # every component [..., c] is C-contiguous
+    noise, stacked = stacked_factories()[factory]
+    u = np.asarray(np.random.default_rng(7).uniform(-1.0, 2.0, shape))
+    got, want = noise.fn(u), stacked(u)
+    assert isinstance(got, np.ndarray) and got.shape == shape + (2,) == want.shape
+    assert np.array_equal(got, want)
+    assert all(got[..., c].flags.c_contiguous for c in range(2))
+    if shape == ():
+        assert np.array_equal(noise.fn(float(u)), want)
+
+
+def test_pairing_integrands_keep_contiguous_components():
+    # u sigma(u) of the renormalised pairing and zeta(u) sigma(u) of the
+    # kinetic Ito pairing follow sigma's layout: one contiguous pass each
+    from stochlab import claw
+    u = np.random.default_rng(8).uniform(-0.5, 1.5, (3, 16))
+    renorm = _renorm_theta(still_problem(noise=bounded_smooth_noise(0.3)))(u)
+    problem = claw.KineticProblem(claw.quadratic_flux(), claw.bounded_smooth_sigma(0.3), 0.01,
+                                  lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x), -1.0, 2.0)
+    phi = claw.bump_test_function(TestFunction.one(16), -0.5, 1.5)
+    ito = claw.ito_pairing_fn(problem, phi)(u)
+    for probe in (renorm, ito):
+        assert probe.shape == (3, 16, 2)
+        assert all(probe[..., c].flags.c_contiguous for c in range(2))
+
+
+def test_noise_layout_changes_no_bit_of_a_translation_march():
+    # the transport and kinetic translation traces are the same, bit for bit,
+    # when sigma's fn hands back an interleaved copy of its value
+    from dataclasses import replace
+
+    from stochlab import claw
+
+    def interleaved(noise):
+        def fn(u):
+            out = np.ascontiguousarray(noise.fn(u))
+            assert np.ndim(u) == 0 or not out[..., 0].flags.c_contiguous
+            return out
+        return replace(noise, fn=fn)
+
+    tgrid, grid, replicas = TimeGrid(0.25, 128), TorusGrid(16), 3
+    phi = claw.bump_test_function(TestFunction.one(grid.cells), -0.9, 1.9)
+
+    def transport_of(layout):
+        return lambda n: still_problem(noise=layout(bounded_smooth_noise(0.3)), eps=1.0 / n)
+
+    def claw_of(layout):
+        return lambda n: claw.KineticProblem(
+            claw.quadratic_flux(), layout(claw.bounded_smooth_sigma(0.25, 1.0, 0.5 / n)),
+            1.0 / n, lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x), -1.2, 2.2)
+
+    def traces(layout):
+        return [transport_translation_ensembles(transport_of(layout), [4, 8], grid, tgrid,
+                                                replicas, 17),
+                claw.claw_translation_ensembles(claw_of(layout), [4, 8], grid, tgrid,
+                                                replicas, 18, phi)]
+
+    for planar, stacked in zip(traces(lambda noise: noise), traces(interleaved)):
+        for n in (4, 8):
+            assert planar[n].shape == (replicas, tgrid.steps + 1, 2)
+            assert np.array_equal(planar[n], stacked[n])
