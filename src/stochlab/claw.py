@@ -27,9 +27,9 @@ import numpy as np
 from ._util import gauss_on_intervals, max_y_gap, pairwise_sum, periodic_shift
 from .errors import ConfigurationError, RangeEscapeError
 from .processes import TestFunction, _test_variables, spectral_prolong
-from .transport import (REFERENCE_PROBE, FieldPath, LadderReport, TorusGrid, _explicit_march,
-                        _initial_state, _noise_increment, _noise_once_per_state, _shared_draw,
-                        translation_ensembles)
+from .transport import (REFERENCE_PROBE, FieldPath, LadderReport, StateNoise, TorusGrid,
+                        _explicit_march, _initial_state, _noise_increment, _noise_once_per_state,
+                        _shared_draw, _smooth_noise, translation_ensembles)
 from .mollify import bump, bump_derivative
 from .wiener import CouplingSchedule, TimeGrid, WienerPath
 
@@ -38,15 +38,14 @@ from .wiener import CouplingSchedule, TimeGrid, WienerPath
 # coefficient families with closed-form Engquist-Osher splittings
 # ----------------------------------------------------------------------
 
-def _check_derivative(f: Callable, df: Callable, window: tuple[float, float], tol: float,
-                      name: str) -> float:
-    """Max |df - central difference of f| over the window; raises past tol (scaled)."""
+def _check_derivative(f: Callable, df: Callable, window: tuple[float, float], name: str) -> float:
+    """Max |df - central difference of f| over the window; raises past 1e-5 (scaled)."""
     xi = np.linspace(window[0], window[1], 4097)
     h = xi[1] - xi[0]
     fd = (f(xi[2:]) - f(xi[:-2])) / (2 * h)
     err = float(np.max(np.abs(df(xi[1:-1]) - fd)))
     scale = max(1.0, float(np.max(np.abs(df(xi)))))
-    if err > tol * scale * 10:  # second-order FD on 4096 cells
+    if err > 1e-6 * scale * 10:  # second-order FD on 4096 cells
         raise ConfigurationError(f"{name} derivative inconsistent: residual {err:.2e}")
     return err
 
@@ -59,7 +58,6 @@ class FluxFamily:
     the interface flux is eo_plus(left) + eo_minus(right).
     """
 
-    name: str
     F: Callable[[np.ndarray], np.ndarray]
     Fp: Callable[[np.ndarray], np.ndarray]
     eo_plus: Callable[[np.ndarray], np.ndarray]
@@ -68,16 +66,15 @@ class FluxFamily:
     def interface(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return self.eo_plus(left) + self.eo_minus(right)
 
-    def check_derivative_consistency(self, window: tuple[float, float],
-                                     tol: float = 1e-6) -> float:
-        return _check_derivative(self.F, self.Fp, window, tol, "flux")
+    def check_derivative_consistency(self, window: tuple[float, float]) -> float:
+        return _check_derivative(self.F, self.Fp, window, "flux")
 
     def split_consistency(self, window: tuple[float, float]) -> float:
         xi = np.linspace(window[0], window[1], 513)
         return float(np.max(np.abs(self.eo_plus(xi) + self.eo_minus(xi) - self.F(xi))))
 
 
-def quadratic_flux(scale: float = 1.0, shift: float = 0.0, name: str = "burgers") -> FluxFamily:
+def quadratic_flux(scale: float = 1.0, shift: float = 0.0) -> FluxFamily:
     """F(xi) = scale xi^2 / 2 + shift xi (Burgers for scale=1, shift=0)."""
     if scale <= 0:
         raise ConfigurationError("quadratic flux needs positive curvature")
@@ -95,7 +92,7 @@ def quadratic_flux(scale: float = 1.0, shift: float = 0.0, name: str = "burgers"
     def eo_minus(u):
         return 0.5 * scale * (np.minimum(u - star, 0.0) ** 2 - min(-star, 0.0) ** 2)
 
-    return FluxFamily(name, F, Fp, eo_plus, eo_minus)
+    return FluxFamily(F, Fp, eo_plus, eo_minus)
 
 
 def linear_flux(c: float) -> FluxFamily:
@@ -106,8 +103,8 @@ def linear_flux(c: float) -> FluxFamily:
         return np.full_like(np.asarray(u, dtype=float), c)
 
     if c >= 0:
-        return FluxFamily("linear", F, Fp, F, lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-    return FluxFamily("linear", F, Fp, lambda u: np.zeros_like(np.asarray(u, dtype=float)), F)
+        return FluxFamily(F, Fp, F, lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+    return FluxFamily(F, Fp, lambda u: np.zeros_like(np.asarray(u, dtype=float)), F)
 
 
 def cubic_flux(scale: float = 1.0) -> FluxFamily:
@@ -120,31 +117,10 @@ def cubic_flux(scale: float = 1.0) -> FluxFamily:
     def Fp(u):
         return scale * u ** 2
 
-    return FluxFamily("cubic", F, Fp, F, lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+    return FluxFamily(F, Fp, F, lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
 
-@dataclass(frozen=True)
-class SigmaXi:
-    """Kinetic noise coefficient xi -> sigma(xi) in R^k with derivative.
-
-    fn maps xi of shape (...) to sigma(xi) of shape (..., k) whose components
-    sigma(xi)[..., c] are each C-contiguous, as transport.StateNoise.fn does.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]       # (...,) -> (..., k)
-    dfn: Callable[[np.ndarray], np.ndarray]
-    k: int
-    bound: float
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        return self.fn(xi)
-
-    def check_derivative_consistency(self, window: tuple[float, float],
-                                     tol: float = 1e-6) -> float:
-        return _check_derivative(self.fn, self.dfn, window, tol, "sigma")
-
-
-def constant_sigma(vector: np.ndarray) -> SigmaXi:
+def constant_sigma(vector: np.ndarray) -> StateNoise:
     vec = np.atleast_1d(np.asarray(vector, dtype=float))
 
     def fn(xi):
@@ -155,32 +131,19 @@ def constant_sigma(vector: np.ndarray) -> SigmaXi:
     def dfn(xi):
         return np.zeros(np.shape(xi) + (vec.size,))
 
-    return SigmaXi(fn, dfn, vec.size, float(np.linalg.norm(vec)))
+    return StateNoise(fn, dfn, vec.size, 0.0, float(np.linalg.norm(vec)))
 
 
 def bounded_smooth_sigma(amplitude: float, frequency: float = 1.0,
-                         linear_tilt: float = 0.0) -> SigmaXi:
-    """sigma(xi) = amplitude (sin(f xi), cos(f xi)) + tilt (xi-free smooth mix)."""
-    def fn(xi):
-        fxi = frequency * np.asarray(xi, dtype=float)
-        out = np.empty((2,) + fxi.shape)
-        np.sin(fxi + linear_tilt, out=out[0, ...])
-        np.cos(fxi, out=out[1, ...])
-        out *= amplitude
-        return np.moveaxis(out, 0, -1)
-
-    def dfn(xi):
-        xi = np.asarray(xi, dtype=float)
-        return amplitude * frequency * np.stack([np.cos(frequency * xi + linear_tilt),
-                                                 -np.sin(frequency * xi)], axis=-1)
-
-    return SigmaXi(fn, dfn, 2, abs(amplitude) * np.sqrt(2.0))
+                         linear_tilt: float = 0.0) -> StateNoise:
+    """sigma(xi) = amplitude (sin(f xi + tilt), cos(f xi))."""
+    return _smooth_noise(amplitude, frequency, linear_tilt)
 
 
 @dataclass(frozen=True)
 class KineticProblem:
     flux: FluxFamily
-    sigma: SigmaXi | None
+    sigma: StateNoise | None
     epsilon: float
     u0: Callable[[np.ndarray], np.ndarray]
     xi_min: float
@@ -197,7 +160,7 @@ class KineticProblem:
             raise ConfigurationError("kinetic resolution too coarse")
         self.flux.check_derivative_consistency((self.xi_min, self.xi_max))
         if self.sigma is not None:
-            self.sigma.check_derivative_consistency((self.xi_min, self.xi_max))
+            _check_derivative(self.sigma.fn, self.sigma.dfn, self.window, "sigma")
         if self.flux.split_consistency((self.xi_min, self.xi_max)) > 1e-10:
             raise ConfigurationError("Engquist-Osher splitting inconsistent with the flux")
 
@@ -262,8 +225,9 @@ class KineticMeasure:
     step_mass: np.ndarray      # (N_t,)
     clamped_negative: float    # total residual magnitude clipped to keep bins >= 0
 
-    def total_mass(self, snap: int = -1) -> float:
-        return float(self.kappa_cum[snap].sum() + self.parabolic_cum[snap].sum())
+    def total_mass(self) -> float:
+        """Mass deposited over the whole run."""
+        return float(self.kappa_cum[-1].sum() + self.parabolic_cum[-1].sum())
 
     def pairing(self, psi_values: np.ndarray, zeta_prime: Callable, snap: int) -> float:
         """<psi(x) zeta'(xi), m([0, t_snap])>, exact in the kappa part."""
@@ -273,12 +237,11 @@ class KineticMeasure:
                            zeta_prime(self.xi_centers))
         return float(k_part + p_part)
 
-    def mass_in_window(self, x_range: tuple[float, float], cells: int,
-                       snap: int = -1) -> float:
+    def mass_in_window(self, x_range: tuple[float, float], cells: int) -> float:
+        """Mass deposited over the whole run on cells with x in [x_range)."""
         x = np.arange(cells) / cells
         mask = (x >= x_range[0]) & (x < x_range[1])
-        return float(self.kappa_cum[snap][mask].sum()
-                     + self.parabolic_cum[snap][mask].sum())
+        return float(self.kappa_cum[-1][mask].sum() + self.parabolic_cum[-1][mask].sum())
 
 
 @dataclass(frozen=True)
@@ -464,17 +427,17 @@ def chi_pairing_fn(phi: "KineticTestFunction", window: tuple[float, float]) -> C
     return fn
 
 
-def solve_claw(problem: KineticProblem, W: WienerPath, grid: TorusGrid,
-               snapshots: int = 16) -> tuple[FieldPath, KineticMeasure]:
-    """One path with full field storage and the detailed kinetic measure."""
+def solve_claw(problem: KineticProblem, W: WienerPath,
+               grid: TorusGrid) -> tuple[FieldPath, KineticMeasure]:
+    """One path with full field storage and the kinetic measure at 16 snapshots."""
     u0 = np.asarray(problem.u0(grid.x), dtype=float) * np.ones(grid.cells)
     dW = W.increments if problem.sigma is not None else None
     if problem.sigma is not None and W.dimension != problem.k:
         raise ConfigurationError("driver dimension does not match sigma")
     nt = W.grid.steps
-    if nt % snapshots:
-        raise ConfigurationError(f"snapshot count {snapshots} must divide {nt} steps")
-    snap_idx = np.arange(0, nt + 1, nt // snapshots)
+    if nt % 16:
+        raise ConfigurationError(f"the snapshot count 16 must divide {nt} steps")
+    snap_idx = np.arange(0, nt + 1, nt // 16)
     res = _march_claw(problem, grid, W.grid, u0, dW, snap_idx=snap_idx,
                       store_full=True, measure_detail=True)
     return FieldPath(grid, W.grid, res["full"], res["energy"]), res["measure"]
@@ -687,14 +650,10 @@ def burgers_riemann(levels: tuple[float, float] = (1.0, 0.0),
     return u0
 
 
-def shock_position(path: FieldPath, node: int, level: float = 0.5,
-                   search: tuple[float, float] = (0.3, 0.95)) -> float:
-    """Linear-interpolated crossing of the given level inside the search window."""
-    x = path.grid.x
-    u = path.values[node]
-    mask = (x >= search[0]) & (x <= search[1])
-    idx = np.where(mask)[0]
-    for i in idx:
+def shock_position(path: FieldPath, node: int) -> float:
+    """Linear-interpolated crossing of the level 1/2 at some x in [0.3, 0.95]."""
+    x, u, level = path.grid.x, path.values[node], 0.5
+    for i in np.where((x >= 0.3) & (x <= 0.95))[0]:
         j = (i + 1) % path.grid.cells
         if (u[i] - level) * (u[j] - level) <= 0 and u[i] != u[j]:
             frac = (u[i] - level) / (u[i] - u[j])

@@ -426,7 +426,7 @@ def _transport_translation_problem(n: int):
         velocity=lambda x: np.zeros_like(x),
         divergence=lambda x: np.zeros_like(x),
         source=lambda x: np.zeros_like(x),
-        noise=transport_mod.bounded_smooth_noise(0.3),
+        sigma=transport_mod.bounded_smooth_noise(0.3),
         epsilon=1.0 / n,
         u0=lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x))
 
@@ -644,7 +644,7 @@ def _transport_problem(p: dict, n: int | None):
     return transport_mod.TransportProblem(
         velocity=b, divergence=div_b,
         source=lambda x: 0.1 * np.cos(2 * np.pi * x) * (1.0 + wobble),
-        noise=transport_mod.bounded_smooth_noise(p["noise_amplitude"]),
+        sigma=transport_mod.bounded_smooth_noise(p["noise_amplitude"]),
         epsilon=wobble,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5 + 0.1 * wobble * np.sin(2 * np.pi * x))
 
@@ -699,7 +699,7 @@ def _run_transport(p: dict) -> list[Row]:
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x),
         divergence=lambda x: 0.5 * np.pi * np.cos(2 * np.pi * x),
         source=lambda x: np.zeros_like(x),
-        noise=None, epsilon=0.05,
+        sigma=None, epsilon=0.05,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5)
     nt = transport_mod.steps_for_cfl(cons, grid, 0.2)
     path = transport_mod.solve_transport(cons, sample_wiener(TimeGrid(0.2, nt), 1, seed, 0), grid)

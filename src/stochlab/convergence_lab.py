@@ -109,17 +109,15 @@ def zero_limit(draw: ReplicaBatch) -> AdaptedProcess:
 
 
 def spatial_oscillation_family(x_cells: int,
-                               v: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                               k: int = 1) -> ProcessFamily:
-    """Field family V_n(t, x) = v(t, x) (1 + sin(2 pi n x)) on the unit torus."""
+                               v: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> ProcessFamily:
+    """Field family V_n(t, x) = v(t, x) (1 + sin(2 pi n x)) on the unit torus, one component."""
     x = np.arange(x_cells) / x_cells
 
     def make(draw: ReplicaBatch, n: int) -> AdaptedProcess:
         t = draw.grid.left_nodes
         base = v(t[:, None], x[None, :])
         vals = base * (1.0 + np.sin(2 * np.pi * n * x))[None, :]
-        return AdaptedProcess(draw.grid, np.repeat(vals[:, :, None], k, axis=2),
-                              "field", DependencyTag.deterministic())
+        return AdaptedProcess(draw.grid, vals[:, :, None], "field", DependencyTag.deterministic())
     return make
 
 

@@ -45,7 +45,10 @@ def bump_derivative(u: np.ndarray) -> np.ndarray:
     inside = (u > 0.0) & (u < 1.0)
     v = u[inside]
     g = v * (1.0 - v)
-    out[inside] = np.exp(-1.0 / g) * (1.0 - 2.0 * v) / (g * g)
+    # g * g underflows to 0 for g below about 1.5e-162, where exp(-1/g) is 0 too
+    with np.errstate(over="ignore"):
+        top, g2 = np.exp(-1.0 / g) * (1.0 - 2.0 * v), g * g
+    out[inside] = np.divide(top, g2, out=np.zeros_like(v), where=g2 > 0.0)
     return out
 
 

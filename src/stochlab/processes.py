@@ -86,9 +86,8 @@ class AdaptedProcess:
         return AdaptedProcess(grid, vals, "scalar", DependencyTag.deterministic())
 
     @staticmethod
-    def from_path_nodes(W: WienerPath, transform=None, node_offset: int = 0,
-                        component: int = 0) -> "AdaptedProcess":
-        """Scalar process V(t_j) = transform(W(t_{j+node_offset})).
+    def from_path_nodes(W: WienerPath, transform=None, node_offset: int = 0) -> "AdaptedProcess":
+        """Scalar process V(t_j) = transform(W_0(t_{j+node_offset})), W_0 the first component.
 
         node_offset = 0 is the left-point (predictable) sampling; positive
         offsets read future nodes and are flagged by the tag.
@@ -97,18 +96,17 @@ class AdaptedProcess:
         idx = np.arange(n) + node_offset
         if idx[-1] > n or idx[0] < 0:
             raise ConfigurationError("node offset walks off the grid")
-        samples = W.values[idx, component]
+        samples = W.values[idx, 0]
         vals = samples if transform is None else np.asarray(transform(samples), dtype=float)
         src = _STREAM_SOURCE.get(W.stream, "W")
         return AdaptedProcess(W.grid, vals, "scalar",
                               DependencyTag(frozenset({src}), max(node_offset, 0)))
 
     @staticmethod
-    def constant_matrix(grid: TimeGrid, matrix: np.ndarray,
-                        tag: DependencyTag = DependencyTag.deterministic()) -> "AdaptedProcess":
+    def constant_matrix(grid: TimeGrid, matrix: np.ndarray) -> "AdaptedProcess":
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         vals = np.broadcast_to(m, (grid.steps, *m.shape)).copy()
-        return AdaptedProcess(grid, vals, "matrix", tag)
+        return AdaptedProcess(grid, vals, "matrix", DependencyTag.deterministic())
 
     # --- algebra (tags merge, predictability propagates) ----------------
 

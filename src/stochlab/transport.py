@@ -38,6 +38,7 @@ from .wiener import (CouplingSchedule, ReplicaBatch, TimeGrid, WienerPath,
                      increment_chunk)
 
 CFL_LIMIT = 0.9
+CFL_TARGET = 0.45  # the CFL number steps_for_cfl aims at
 # size of the buffer in which the step loop gathers per-cell integrands between
 # reductions: 1 MiB of doubles
 BLOCK_DOUBLES = (1 << 20) // 8
@@ -73,14 +74,16 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class StateNoise:
-    """Multiplicative coefficient u -> sigma(u) in R^k, globally Lipschitz.
+    """Noise coefficient u -> sigma(u) in R^k of both solvers, globally Lipschitz.
 
     fn maps u of shape (...) to sigma(u) of shape (..., k) whose components
     sigma(u)[..., c] are each C-contiguous: a (k,) + u.shape array seen through
     np.moveaxis, so every product with one component is a contiguous pass.
+    dfn gives d sigma/du, shape (..., k); lipschitz is the sup of |dfn|.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]  # (...,) -> (..., k)
+    fn: Callable[[np.ndarray], np.ndarray]   # (...,) -> (..., k)
+    dfn: Callable[[np.ndarray], np.ndarray]  # (...,) -> (..., k)
     k: int
     lipschitz: float
     bound: float  # sup |sigma|, used for kinetic windows and Gronwall constants
@@ -89,15 +92,26 @@ class StateNoise:
         return self.fn(u)
 
 
-@dataclass(frozen=True)
-class AdditiveNoise:
-    """Additive field coefficient sigma(x) in R^k (constant vectors included)."""
+def _smooth_noise(amplitude: float, frequency: float, tilt: float) -> StateNoise:
+    """sigma(u) = amplitude (sin(f u + tilt), cos(f u)).
 
-    values: np.ndarray  # (cells, k)
+    |dfn|^2 = (a f)^2 (1 - sin(2 f u + tilt) sin(tilt)), whose sup gives the
+    Lipschitz constant. The tilt enters fn only when it is nonzero.
+    """
+    def fn(u):
+        fu = frequency * u
+        out = np.empty((2,) + np.shape(fu))
+        np.sin(fu + tilt if tilt else fu, out=out[0, ...])
+        np.cos(fu, out=out[1, ...])
+        out *= amplitude
+        return np.moveaxis(out, 0, -1)
 
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
+    def dfn(u):
+        fu = frequency * np.asarray(u, dtype=float)
+        return amplitude * frequency * np.stack([np.cos(fu + tilt), -np.sin(fu)], axis=-1)
+
+    return StateNoise(fn, dfn, 2, abs(amplitude * frequency) * np.sqrt(1.0 + abs(np.sin(tilt))),
+                      abs(amplitude) * np.sqrt(2.0))
 
 
 def bounded_smooth_noise(amplitude: float, frequency: float = 1.0) -> StateNoise:
@@ -106,14 +120,7 @@ def bounded_smooth_noise(amplitude: float, frequency: float = 1.0) -> StateNoise
     Bounded second derivative keeps the technical growth condition on the
     noise coefficient satisfied for every p >= 3.
     """
-    def fn(u):
-        fu = frequency * u
-        out = np.empty((2,) + np.shape(fu))
-        np.sin(fu, out=out[0, ...])
-        np.cos(fu, out=out[1, ...])
-        out *= amplitude
-        return np.moveaxis(out, 0, -1)
-    return StateNoise(fn, 2, abs(amplitude * frequency), abs(amplitude) * np.sqrt(2.0))
+    return _smooth_noise(amplitude, frequency, 0.0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,7 @@ class TransportProblem:
     velocity: Callable[[np.ndarray], np.ndarray]       # b(x)
     divergence: Callable[[np.ndarray], np.ndarray]     # div b(x)
     source: Callable[[np.ndarray], np.ndarray]         # f(x)
-    noise: StateNoise | AdditiveNoise | None
+    sigma: StateNoise | None
     epsilon: float
     u0: Callable[[np.ndarray], np.ndarray]
     exponents: ExponentSet = ExponentSet(3.0)
@@ -138,20 +145,18 @@ class TransportProblem:
 
     @property
     def k(self) -> int:
-        if self.noise is None:
-            return 1
-        return self.noise.k
+        return 1 if self.sigma is None else self.sigma.k
 
     def max_wave_speed(self, grid: TorusGrid) -> float:
         b = np.abs(np.asarray(self.velocity(grid.x_interfaces), dtype=float))
         return float(np.max(b)) if b.ndim else float(b)
 
-    def check_divergence_consistency(self, grid: TorusGrid, tol: float = 1e-6) -> float:
+    def check_divergence_consistency(self, grid: TorusGrid) -> float:
         """Spectral-derivative check of div b against b on the grid."""
         b = np.asarray(self.velocity(grid.x), dtype=float) * np.ones(grid.cells)
         div = np.asarray(self.divergence(grid.x), dtype=float) * np.ones(grid.cells)
         err = float(np.max(np.abs(spectral_derivative(b, 1) - div)))
-        if err > tol * max(1.0, float(np.max(np.abs(div)))):
+        if err > 1e-6 * max(1.0, float(np.max(np.abs(div)))):
             raise ConfigurationError(f"div b inconsistent with b: spectral residual {err:.2e}")
         return err
 
@@ -166,12 +171,11 @@ def cfl_number(problem, grid: TorusGrid, dt: float) -> float:
     return speed * dt / grid.dx + 2.0 * problem.epsilon * dt / grid.dx ** 2
 
 
-def steps_for_cfl(problem, grid: TorusGrid, horizon: float,
-                  target: float = 0.45, multiple_of: int = 1) -> int:
-    """Smallest step count (rounded to a multiple) meeting the CFL target."""
+def steps_for_cfl(problem, grid: TorusGrid, horizon: float, multiple_of: int = 1) -> int:
+    """Smallest step count (rounded to a multiple) meeting CFL_TARGET."""
     speed = problem.max_wave_speed(grid)
     rate = speed / grid.dx + 2.0 * problem.epsilon / grid.dx ** 2
-    steps = int(np.ceil(horizon * rate / target))
+    steps = int(np.ceil(horizon * rate / CFL_TARGET))
     return max(multiple_of, ((steps + multiple_of - 1) // multiple_of) * multiple_of)
 
 
@@ -294,7 +298,7 @@ def _march(problem: TransportProblem, grid: TorusGrid, tgrid: TimeGrid,
     b_iface = np.asarray(problem.velocity(grid.x_interfaces), dtype=float) * np.ones(grid.cells)
     bp, bm = np.maximum(b_iface, 0.0), np.minimum(b_iface, 0.0)
     f_cells = np.asarray(problem.source(grid.x), dtype=float) * np.ones(grid.cells)
-    noise = problem.noise if dW is not None else None
+    sigma = problem.sigma if dW is not None else None
     # step invariants; -dt * div + eps * dt * lap groups as (-dt) * div + (eps * dt) * lap
     source, visc, dx2 = dt * f_cells, problem.epsilon * dt, dx ** 2
 
@@ -304,9 +308,8 @@ def _march(problem: TransportProblem, grid: TorusGrid, tgrid: TimeGrid,
         div = (flux - periodic_shift(flux, 1)) / dx
         lap = (right - 2.0 * u + periodic_shift(u, 1)) / dx2
         incr = -dt * div + visc * lap + source
-        if noise is not None:
-            sigma = noise.values if isinstance(noise, AdditiveNoise) else noise(u)
-            incr = incr + _noise_increment(sigma, dW[..., j, :])
+        if sigma is not None:
+            incr = incr + _noise_increment(sigma(u), dW[..., j, :])
         return u + incr
 
     return _explicit_march(problem, grid, tgrid, u0, step, pairings, store_full, snap_idx)
@@ -330,8 +333,8 @@ def _pair_theta(psi: np.ndarray, probe: np.ndarray, u_ndim: int, dx: float) -> n
 def solve_transport(problem: TransportProblem, W: WienerPath, grid: TorusGrid) -> FieldPath:
     """One path of the explicit scheme, with full field storage."""
     u0 = np.asarray(problem.u0(grid.x), dtype=float) * np.ones(grid.cells)
-    dW = W.increments if problem.noise is not None else None
-    if problem.noise is not None and W.dimension != problem.k:
+    dW = W.increments if problem.sigma is not None else None
+    if problem.sigma is not None and W.dimension != problem.k:
         raise ConfigurationError("driver dimension does not match the noise coefficient")
     res = _march(problem, grid, W.grid, u0, dW, store_full=True)
     return FieldPath(grid, W.grid, res["full"], res["energy"])
@@ -358,13 +361,9 @@ def weak_residual(path: FieldPath, problem: TransportProblem, W: WienerPath,
     source = dt * dx * float(np.sum(np.dot(phi.values, f)) * J)
     viscous = problem.epsilon * dt * dx * float(np.sum(u[:J] @ phi.d2))
     noise_term = 0.0
-    if problem.noise is not None:
-        dW = W.increments[:J]
-        if isinstance(problem.noise, AdditiveNoise):
-            paired = np.broadcast_to(phi.values @ problem.noise.values * dx, (J, problem.noise.k))
-        else:
-            paired = np.einsum("x,jxk->jk", phi.values, problem.noise(u[:J])) * dx
-        noise_term = float(np.sum(paired * dW))
+    if problem.sigma is not None:
+        paired = np.einsum("x,jxk->jk", phi.values, problem.sigma(u[:J])) * dx
+        noise_term = float(np.sum(paired * W.increments[:J]))
     return mass - transport - source - viscous - noise_term
 
 
@@ -393,8 +392,7 @@ def variance_inequality_residuals(u_samples: np.ndarray, noise: StateNoise):
     return around_mean_u - var_s, noise.lipschitz ** 2 * var_u - var_s
 
 
-def gronwall_energy_bound(problem: TransportProblem, grid: TorusGrid, horizon: float,
-                          u0_sq: float | None = None) -> float:
+def gronwall_energy_bound(problem: TransportProblem, grid: TorusGrid, horizon: float) -> float:
     """Continuum Gronwall majorant for E sup_t ||u(t)||_{L^2}^2.
 
     d/dt E||u||^2 <= (||div b||_inf + 1 + 2 L^2) E||u||^2 + ||f||^2 + 2|sigma(0)|^2,
@@ -402,17 +400,14 @@ def gronwall_energy_bound(problem: TransportProblem, grid: TorusGrid, horizon: f
     """
     div = np.asarray(problem.divergence(grid.x), dtype=float) * np.ones(grid.cells)
     f = np.asarray(problem.source(grid.x), dtype=float) * np.ones(grid.cells)
-    if u0_sq is None:
-        u0 = np.asarray(problem.u0(grid.x), dtype=float) * np.ones(grid.cells)
-        u0_sq = float(np.mean(u0 ** 2))
+    u0 = np.asarray(problem.u0(grid.x), dtype=float) * np.ones(grid.cells)
+    u0_sq = float(np.mean(u0 ** 2))
     f_sq = float(np.mean(f ** 2))
-    if problem.noise is None:
+    if problem.sigma is None:
         lip, sigma0_sq = 0.0, 0.0
-    elif isinstance(problem.noise, AdditiveNoise):
-        lip, sigma0_sq = 0.0, float(np.max(np.sum(problem.noise.values ** 2, axis=1)))
     else:
-        lip = problem.noise.lipschitz
-        sigma0_sq = float(np.sum(np.atleast_1d(problem.noise(np.zeros(1))) ** 2))
+        lip = problem.sigma.lipschitz
+        sigma0_sq = float(np.sum(problem.sigma(np.zeros(1)) ** 2))
     c1 = f_sq + 2.0 * sigma0_sq
     c2 = float(np.max(np.abs(div))) + 1.0 + 2.0 * lip ** 2
     return (u0_sq + horizon * c1) * float(np.exp(horizon * c2))
@@ -507,40 +502,30 @@ def _initial_state(problem, grid: TorusGrid, replicas: int) -> np.ndarray:
                            * np.ones(grid.cells), (replicas, grid.cells))
 
 
-def _sigma_theta(problem: TransportProblem) -> Callable:
-    """u -> sigma(u) of shape (..., cells, k), the integrand of the sigma pairing."""
-    noise = problem.noise
-    if isinstance(noise, AdditiveNoise):
-        return lambda u: np.broadcast_to(noise.values, u.shape + (noise.k,))
-    return noise
-
-
 def _renorm_theta(problem: TransportProblem) -> Callable:
     """u -> u sigma(u), the eta' sigma integrand of the renormalised pairing."""
-    sigma = _sigma_theta(problem)
+    sigma = problem.sigma
     return lambda u: u[..., None] * sigma(u)
 
 
 def _noise_once_per_state(problem):
-    """A copy of a TransportProblem or claw.KineticProblem whose state noise is
+    """A copy of a TransportProblem or claw.KineticProblem whose sigma is
     evaluated once per state of a march.
 
     The step and every pairing ask for sigma(u) of the same state array, which
     a march never writes to, so the copy gives back its last value while it is
     asked about that array: the same numbers from one evaluation per state.
-    Additive or absent noise is returned as it is.
+    A problem without noise is returned as it is.
     """
-    name = "noise" if isinstance(problem, TransportProblem) else "sigma"
-    noise = getattr(problem, name)
-    if not hasattr(noise, "fn"):
+    if problem.sigma is None:
         return problem
-    fn, last = noise.fn, [None, None]
+    fn, last = problem.sigma.fn, [None, None]
 
     def once(u):
         if u is not last[0]:
             last[:] = u, fn(u)
         return last[1]
-    return replace(problem, **{name: replace(noise, fn=once)})
+    return replace(problem, sigma=replace(problem.sigma, fn=once))
 
 
 def stability_experiment(problems: dict[int, TransportProblem],
@@ -548,9 +533,7 @@ def stability_experiment(problems: dict[int, TransportProblem],
                          schedule: CouplingSchedule,
                          grid: TorusGrid, horizon: float,
                          replicas: int, seed: int,
-                         psi: TestFunction | None = None,
-                         refine: int = 4, snapshots: int = 64,
-                         sign_slack: float = 3.0) -> LadderReport:
+                         refine: int = 4, snapshots: int = 64) -> LadderReport:
     """Viscous-ladder stability runs against the fine-mesh limit solve.
 
     The Brownian increments are drawn once, on the finest time grid any solve
@@ -563,14 +546,14 @@ def stability_experiment(problems: dict[int, TransportProblem],
     measured on the first REFERENCE_PROBE replicas. The thresholds these
     measurements are judged by live in cli.py.
 
-    The sign monitor scores F = -int eta(u) dx dt <= 0 against nonnegative Y
-    by the largest mean(Y F) - sign_slack * stderr. F <= 0 pathwise and
-    Y >= 0, so the score is never positive: it is a consistency check that
-    cannot fail, and it reads -inf at one replica, where the stderr is inf.
+    The pairings test against psi = 1. The sign monitor scores
+    F = -int eta(u) dx dt <= 0 against nonnegative Y by the largest
+    mean(Y F) - 3 stderr. F <= 0 pathwise and Y >= 0, so the score is never
+    positive: it is a consistency check that cannot fail, and it reads -inf
+    at one replica, where the stderr is inf.
     """
     n_values = sorted(problems)
-    if psi is None:
-        psi = TestFunction.one(grid.cells)
+    psi = np.ones(grid.cells)
     worst = problems[n_values[0]]
     report = LadderReport(energy_bound=gronwall_energy_bound(worst, grid, horizon))
 
@@ -596,9 +579,9 @@ def stability_experiment(problems: dict[int, TransportProblem],
         """Solve on grid.refine(r): the result, its snapshots on the `grid`
         nodes, and the Ito sums of the sigma and renorm pairings."""
         mesh = grid.refine(r)
-        psi_r = psi.values if r == 1 else spectral_prolong(psi.values, r)
+        psi_r = psi if r == 1 else spectral_prolong(psi, r)
         problem = _noise_once_per_state(problem)
-        pairings = {"sigma": (psi_r, _sigma_theta(problem)),
+        pairings = {"sigma": (psi_r, problem.sigma),
                     "renorm": (psi_r, _renorm_theta(problem))} if paired else None
         res = _march(problem, mesh, tgrid, _initial_state(problem, mesh, len(dW)), dW,
                      pairings=pairings,
@@ -633,7 +616,7 @@ def stability_experiment(problems: dict[int, TransportProblem],
         worst_sign = -np.inf
         for col in range(nonneg.shape[1]):
             mval, se = mean_and_stderr(nonneg[:, col] * f_int)
-            worst_sign = max(worst_sign, mval - sign_slack * se)
+            worst_sign = max(worst_sign, mval - 3.0 * se)
         report.entries.append(StabilityEntry(
             n, lp, lp_se, float(pairwise_sum(energy_sup) / replicas),
             sgap, sgap_se, rgap, rgap_se, worst_sign, monitor_rows[n]))
@@ -668,10 +651,9 @@ def translation_ensembles(march: Callable, problem_of_n: Callable, theta_of: Cal
 
 def transport_translation_ensembles(problem_of_n: Callable[[int], TransportProblem],
                                     n_values: list[int], grid: TorusGrid,
-                                    tgrid: TimeGrid, replicas: int, seed: int,
-                                    psi: TestFunction | None = None) -> dict[int, np.ndarray]:
-    """Renormalised-pairing traces (eta' sigma composition) for the rate fits."""
-    if psi is None:
-        psi = TestFunction.one(grid.cells)
-    return translation_ensembles(_march, problem_of_n, _renorm_theta, psi.values, n_values,
-                                 grid, tgrid, replicas, seed)
+                                    tgrid: TimeGrid, replicas: int,
+                                    seed: int) -> dict[int, np.ndarray]:
+    """Renormalised-pairing traces (eta' sigma composition) against psi = 1, for
+    the rate fits."""
+    return translation_ensembles(_march, problem_of_n, _renorm_theta, np.ones(grid.cells),
+                                 n_values, grid, tgrid, replicas, seed)

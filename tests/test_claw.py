@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from test_transport import check_shared_draw, record_marches, small_blocks
 
 from stochlab import claw
-from stochlab.claw import (KineticProblem, KineticTestFunction, SigmaXi,
+from stochlab.claw import (KineticProblem, KineticTestFunction,
                            _march_claw, bounded_smooth_sigma, bump_test_function,
                            burgers_riemann, claw_translation_ensembles,
                            constant_sigma, cubic_flux, kinetic_function,
@@ -306,7 +308,7 @@ def test_claw_translation_ensembles_evaluate_sigma_once_per_state():
     def counted(xi):
         calls.append(1)
         return base.fn(xi)
-    sigma = SigmaXi(counted, base.dfn, base.k, base.bound)
+    sigma = replace(base, fn=counted)
     tgrid, grid, replicas, seed = TimeGrid(0.25, 256), TorusGrid(32), 3, 6
     phi = bump_test_function(TestFunction.one(32), -0.9, 1.9)
 
@@ -336,7 +338,7 @@ def test_upwind_and_engquist_osher_marchers_agree_on_linear_transport():
     u0_fn = lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x)
     transport = TransportProblem(
         velocity=lambda x: np.full_like(x, c), divergence=lambda x: np.zeros_like(x),
-        source=lambda x: np.zeros_like(x), noise=bounded_smooth_noise(amplitude),
+        source=lambda x: np.zeros_like(x), sigma=bounded_smooth_noise(amplitude),
         epsilon=eps, u0=u0_fn)
     kinetic = KineticProblem(flux=linear_flux(c), sigma=bounded_smooth_sigma(amplitude),
                              epsilon=eps, u0=u0_fn, xi_min=-4.0, xi_max=5.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from stochlab.errors import ConfigurationError
 from stochlab.mollify import (MollifierKernel, adjoint_mollify,
-                              adjoint_mollify_derivative, bump, mollify,
+                              adjoint_mollify_derivative, bump, bump_derivative, mollify,
                               mollify_derivative, mollify_left_nodes, time_inner)
 from stochlab.wiener import TimeGrid
 
@@ -202,3 +204,23 @@ def test_bump_equals_the_masked_definition_bit_for_bit():
             assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
             assert np.array_equal(got.view(np.int64), masked_bump(x).view(np.int64))
         assert not np.any(np.signbit(bump(u)))
+
+
+def test_bump_derivative_is_zero_where_the_exponential_underflows():
+    # exp(-1/g) * (1 - 2u) / g^2 is 0 / 0 once g * g underflows (u below about
+    # 1.5e-162): the derivative gives +0.0 there, with no warning, and keeps
+    # the bits of that formula elsewhere, the -0.0 of u = 1 - 2^-53 included
+    tiny = np.array([1e-200, 1e-170, 5e-324, 1e-163])
+    u = np.concatenate([np.linspace(-0.5, 1.5, 2001),
+                        [0.0, -0.0, 1.0, 1e-3, 2e-3, 1e-150, 0.5, 1 - 2.0 ** -53, 2.0 ** -53]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_tiny, got = bump_derivative(tiny), bump_derivative(u)
+    assert np.array_equal(got_tiny.view(np.int64), np.zeros(4).view(np.int64))
+    inside = (u > 0.0) & (u < 1.0)
+    v = u[inside]
+    g = v * (1.0 - v)
+    want = np.zeros_like(u)
+    want[inside] = np.exp(-1.0 / g) * (1.0 - 2.0 * v) / (g * g)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.count_nonzero(got) > 900

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stochlab import transport
+from stochlab import claw, transport
 from stochlab._util import pairwise_sum, periodic_shift
 from stochlab.errors import CFLError, ConfigurationError, SolverBlowupError
 from stochlab.processes import TestFunction
-from stochlab.transport import (AdditiveNoise, FieldPath, StateNoise, TorusGrid,
+from stochlab.transport import (FieldPath, StateNoise, TorusGrid,
                                 TransportProblem, _divisor_at_least, _energy_of,
                                 _initial_state, _march, _pair_theta, _renorm_theta,
                                 _shared_draw, _smooth_at_least,
@@ -22,22 +24,22 @@ from stochlab.wiener import (STREAM_B, CouplingSchedule, TimeGrid, aggregate_inc
 GRID = TorusGrid(64)
 
 
-def still_problem(noise=None, eps=0.0, u0=None):
+def still_problem(sigma=None, eps=0.0, u0=None):
     return TransportProblem(
         velocity=lambda x: np.zeros_like(x),
         divergence=lambda x: np.zeros_like(x),
         source=lambda x: np.zeros_like(x),
-        noise=noise, epsilon=eps,
+        sigma=sigma, epsilon=eps,
         u0=u0 or (lambda x: np.sin(2 * np.pi * x) + 0.5),
     )
 
 
-def smooth_problem(eps=0.0, noise=None):
+def smooth_problem(eps=0.0, sigma=None):
     return TransportProblem(
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x),
         divergence=lambda x: 0.5 * np.pi * np.cos(2 * np.pi * x),
         source=lambda x: 0.1 * np.cos(2 * np.pi * x),
-        noise=noise, epsilon=eps,
+        sigma=sigma, epsilon=eps,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5,
     )
 
@@ -61,7 +63,7 @@ def test_constant_advection_matches_characteristics():
             velocity=lambda x: np.full_like(x, c),
             divergence=lambda x: np.zeros_like(x),
             source=lambda x: np.zeros_like(x),
-            noise=None, epsilon=0.0,
+            sigma=None, epsilon=0.0,
             u0=lambda x: np.sin(2 * np.pi * x))
         nt = steps_for_cfl(P, grid, T)
         W = sample_wiener(TimeGrid(T, nt), 1, seed=1, replica=0)
@@ -73,7 +75,7 @@ def test_constant_advection_matches_characteristics():
 
 def test_additive_constant_noise_telescopes_exactly():
     sigma0 = np.array([0.3, -0.2])
-    P = still_problem(noise=AdditiveNoise(np.tile(sigma0, (64, 1))))
+    P = still_problem(sigma=claw.constant_sigma(sigma0))
     W = sample_wiener(TimeGrid(1.0, 256), 2, seed=2, replica=0)
     path = solve_transport(P, W, GRID)
     u0 = P.u0(GRID.x)
@@ -96,7 +98,7 @@ def test_mass_conservation_to_machine_precision():
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x),
         divergence=lambda x: 0.5 * np.pi * np.cos(2 * np.pi * x),
         source=lambda x: np.zeros_like(x),
-        noise=None, epsilon=0.01,
+        sigma=None, epsilon=0.01,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5)
     nt = steps_for_cfl(P, GRID, 1.0)
     W = sample_wiener(TimeGrid(1.0, nt), 1, seed=3, replica=0)
@@ -106,7 +108,7 @@ def test_mass_conservation_to_machine_precision():
 
 
 def test_energy_trace_matches_recomputation():
-    P = still_problem(noise=bounded_smooth_noise(0.2))
+    P = still_problem(sigma=bounded_smooth_noise(0.2))
     W = sample_wiener(TimeGrid(0.5, 128), 2, seed=4, replica=0)
     path = solve_transport(P, W, GRID)
     manual = 0.5 * np.sum(path.values ** 2, axis=1) * GRID.dx
@@ -117,7 +119,7 @@ def test_energy_trace_matches_recomputation():
 
 def test_weak_residual_exact_for_additive_solution():
     sigma0 = np.array([0.4])
-    P = still_problem(noise=AdditiveNoise(np.tile(sigma0, (64, 1))))
+    P = still_problem(sigma=claw.constant_sigma(sigma0))
     W = sample_wiener(TimeGrid(1.0, 256), 1, seed=5, replica=0)
     path = solve_transport(P, W, GRID)
     phi = TestFunction.from_callable(64, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
@@ -130,7 +132,7 @@ def test_weak_residual_constant_testfunction_is_mass_drift():
         velocity=lambda x: np.full_like(x, 0.7),
         divergence=lambda x: np.zeros_like(x),
         source=lambda x: np.zeros_like(x),
-        noise=None, epsilon=0.02,
+        sigma=None, epsilon=0.02,
         u0=lambda x: np.cos(2 * np.pi * x))
     nt = steps_for_cfl(P, GRID, 0.5)
     W = sample_wiener(TimeGrid(0.5, nt), 1, seed=6, replica=0)
@@ -145,8 +147,7 @@ def test_weak_residual_refines_at_first_order():
     residuals = []
     for cells in (64, 128):
         grid = TorusGrid(cells)
-        P = smooth_problem(eps=0.005, noise=AdditiveNoise(
-            np.stack([0.2 * np.sin(2 * np.pi * grid.x)], axis=1)))
+        P = smooth_problem(eps=0.005, sigma=claw.constant_sigma([0.2]))
         nt = steps_for_cfl(P, grid, T)
         W = sample_wiener(TimeGrid(T, nt), 1, seed=7, replica=0)
         path = solve_transport(P, W, grid)
@@ -166,7 +167,7 @@ def test_renormalized_pairing_constant_identity():
 
 def test_renormalized_pairing_additive_closed_form():
     sigma0 = np.array([0.5])
-    P = still_problem(noise=AdditiveNoise(np.tile(sigma0, (64, 1))))
+    P = still_problem(sigma=claw.constant_sigma(sigma0))
     W = sample_wiener(TimeGrid(1.0, 256), 1, seed=9, replica=0)
     path = solve_transport(P, W, GRID)
     psi = TestFunction.one(64)
@@ -187,7 +188,7 @@ def test_variance_inequality():
 
 
 def test_gronwall_bound_holds_for_driftless_noisy_run():
-    P = still_problem(noise=bounded_smooth_noise(0.2), eps=0.05)
+    P = still_problem(sigma=bounded_smooth_noise(0.2), eps=0.05)
     nt = steps_for_cfl(P, GRID, 0.5)
     sup = 0.0
     for r in range(32):
@@ -202,7 +203,7 @@ def make_ladder(n):
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x) + (0.2 / n) * np.sin(4 * np.pi * x),
         divergence=lambda x: 0.5 * np.pi * np.cos(2 * np.pi * x) + (0.8 * np.pi / n) * np.cos(4 * np.pi * x),
         source=lambda x: 0.1 * np.cos(2 * np.pi * x) * (1.0 + 1.0 / n),
-        noise=bounded_smooth_noise(0.15),
+        sigma=bounded_smooth_noise(0.15),
         epsilon=1.0 / n,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5 + (0.1 / n) * np.sin(2 * np.pi * x))
 
@@ -212,7 +213,7 @@ def make_limit():
         velocity=lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x),
         divergence=lambda x: 0.5 * np.pi * np.cos(2 * np.pi * x),
         source=lambda x: 0.1 * np.cos(2 * np.pi * x),
-        noise=bounded_smooth_noise(0.15),
+        sigma=bounded_smooth_noise(0.15),
         epsilon=0.0,
         u0=lambda x: np.sin(2 * np.pi * x) + 0.5)
 
@@ -301,11 +302,11 @@ def test_solver_pairing_traces_are_predictable_integrands():
     from stochlab.ito import ito_integral
     from stochlab.processes import AdaptedProcess, DependencyTag
 
-    P = still_problem(noise=bounded_smooth_noise(0.2))
+    P = still_problem(sigma=bounded_smooth_noise(0.2))
     W = sample_wiener(TimeGrid(0.5, 128), 2, seed=21, replica=0)
     path = solve_transport(P, W, GRID)
     psi = TestFunction.one(64)
-    trace = renormalized_pairing(path, psi, lambda u: P.noise(u))  # (N_t+1, 2)
+    trace = renormalized_pairing(path, psi, lambda u: P.sigma(u))  # (N_t+1, 2)
     V = AdaptedProcess(W.grid, trace[:-1][:, None, :], "matrix",
                        DependencyTag(frozenset({"W"}), 0))
     integral = ito_integral(V, W)
@@ -321,7 +322,7 @@ def test_translation_slope_of_transport_pairings():
     grid = TorusGrid(32)
 
     def prob(n):
-        return still_problem(noise=bounded_smooth_noise(0.3), eps=1.0 / n)
+        return still_problem(sigma=bounded_smooth_noise(0.3), eps=1.0 / n)
 
     ens = transport_translation_ensembles(prob, [64, 128], grid, tgrid,
                                           replicas=128, seed=13)
@@ -340,11 +341,11 @@ def test_translation_ensembles_evaluate_sigma_once_per_state():
     def counted(u):
         calls.append(1)
         return base.fn(u)
-    noise = StateNoise(counted, base.k, base.lipschitz, base.bound)
+    sigma = replace(base, fn=counted)
     tgrid, grid, replicas, seed = TimeGrid(0.25, 256), TorusGrid(32), 3, 5
 
     def prob(n):
-        return still_problem(noise=noise, eps=1.0 / n)
+        return still_problem(sigma=sigma, eps=1.0 / n)
 
     ens = transport_translation_ensembles(prob, [4, 8], grid, tgrid, replicas, seed)
     assert len(calls) == 2 * (tgrid.steps + 1)
@@ -377,12 +378,11 @@ def test_block_reductions_equal_the_per_node_definition(monkeypatch, marcher, le
     # per block equal, bit for bit, the per-node reductions of the stored field
     # (_energy_of, _pair_theta): a k = 2 theta and claw's scalar chi pairing,
     # over several blocks of 5 nodes that end in a partial one
-    from stochlab import claw
     grid, tgrid = TorusGrid(32), TimeGrid(0.2, 23)
     u0_fn = lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x)
     if marcher == "transport":
-        problem = smooth_problem(eps=0.01, noise=bounded_smooth_noise(0.3))
-        march, sigma = _march, problem.noise
+        problem = smooth_problem(eps=0.01, sigma=bounded_smooth_noise(0.3))
+        march, sigma = _march, problem.sigma
     else:
         problem = claw.KineticProblem(claw.quadratic_flux(), claw.bounded_smooth_sigma(0.3), 0.01,
                                       u0_fn, -1.0, 2.0)
@@ -411,7 +411,7 @@ def test_block_reductions_equal_the_per_node_definition(monkeypatch, marcher, le
 def test_blowup_inside_a_block_names_its_step(monkeypatch):
     # an infinite increment at step 7 makes the state at node 8 non-finite:
     # the march stops there, in the middle of a block, and names step 7
-    P = still_problem(noise=AdditiveNoise(np.full((GRID.cells, 1), 0.5)))
+    P = still_problem(sigma=claw.constant_sigma([0.5]))
     tgrid = TimeGrid(0.5, 32)
     dW = increment_chunk(tgrid, 1, 3, 0, 2)
     dW[1, 7, 0] = np.inf
@@ -434,11 +434,12 @@ def test_periodic_shift_is_a_roll_by_one(axis, shift):
 
 # sigma(u) as the noise factories defined it with np.stack: components interleaved
 def stacked_factories():
-    from stochlab import claw
     vec = np.array([0.3, -0.15])
     return {
         "transport_smooth": (bounded_smooth_noise(0.3, 1.5),
                              lambda u: 0.3 * np.stack([np.sin(1.5 * u), np.cos(1.5 * u)], axis=-1)),
+        "claw_untilted": (claw.bounded_smooth_sigma(0.3, 1.5),
+                          lambda u: 0.3 * np.stack([np.sin(1.5 * u), np.cos(1.5 * u)], axis=-1)),
         "claw_smooth": (claw.bounded_smooth_sigma(0.25, 1.5, linear_tilt=0.4),
                         lambda xi: 0.25 * np.stack([np.sin(1.5 * np.asarray(xi) + 0.4),
                                                     np.cos(1.5 * np.asarray(xi))], axis=-1)),
@@ -449,7 +450,8 @@ def stacked_factories():
 
 @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 16), (2, 3, 16)],
                          ids=["0d", "one", "1d", "replicas_cells", "nodes_replicas_cells"])
-@pytest.mark.parametrize("factory", ["transport_smooth", "claw_smooth", "claw_constant"])
+@pytest.mark.parametrize("factory", ["transport_smooth", "claw_untilted", "claw_smooth",
+                                     "claw_constant"])
 def test_noise_factories_give_contiguous_components(factory, shape):
     # each factory's fn equals its np.stack definition, shape (..., k), and
     # every component [..., c] is C-contiguous
@@ -463,12 +465,41 @@ def test_noise_factories_give_contiguous_components(factory, shape):
         assert np.array_equal(noise.fn(float(u)), want)
 
 
+@pytest.mark.parametrize("factory", ["transport_smooth", "claw_untilted", "claw_smooth",
+                                     "claw_constant"])
+def test_noise_factories_give_one_state_noise(factory):
+    # every factory returns a StateNoise whose dfn is the derivative of fn and
+    # whose lipschitz is the sup of |dfn|: an upper bound on the window (up to
+    # roundoff), which spans more than a period of the smooth ones, and
+    # reached there to 1e-3
+    sigma = stacked_factories()[factory][0]
+    assert isinstance(sigma, StateNoise)
+    u = np.linspace(-3.0, 4.0, 4097)
+    value, slope = sigma.fn(u), sigma.dfn(u)
+    assert value.shape == slope.shape == u.shape + (sigma.k,)
+    assert all(value[..., c].flags.c_contiguous for c in range(sigma.k))
+    central = (sigma.fn(u[2:]) - sigma.fn(u[:-2])) / (2.0 * (u[1] - u[0]))
+    assert np.max(np.abs(slope[1:-1] - central)) <= 1e-5
+    steepest = float(np.max(np.linalg.norm(slope, axis=-1)))
+    assert steepest <= sigma.lipschitz * (1.0 + 1e-12)
+    assert steepest >= (1.0 - 1e-3) * sigma.lipschitz
+
+
+def test_both_smooth_factories_give_the_same_sigma():
+    u = np.random.default_rng(9).uniform(-2.0, 3.0, (3, 16))
+    for amplitude, frequency in ((0.3, 1.0), (0.25, 1.5), (-0.1, 2.0)):
+        transport_sigma = bounded_smooth_noise(amplitude, frequency)
+        claw_sigma = claw.bounded_smooth_sigma(amplitude, frequency)
+        assert np.all(transport_sigma.fn(u) == claw_sigma.fn(u))
+        assert transport_sigma.lipschitz == claw_sigma.lipschitz == abs(amplitude * frequency)
+        assert transport_sigma.bound == claw_sigma.bound
+
+
 def test_pairing_integrands_keep_contiguous_components():
     # u sigma(u) of the renormalised pairing and zeta(u) sigma(u) of the
     # kinetic Ito pairing follow sigma's layout: one contiguous pass each
-    from stochlab import claw
     u = np.random.default_rng(8).uniform(-0.5, 1.5, (3, 16))
-    renorm = _renorm_theta(still_problem(noise=bounded_smooth_noise(0.3)))(u)
+    renorm = _renorm_theta(still_problem(sigma=bounded_smooth_noise(0.3)))(u)
     problem = claw.KineticProblem(claw.quadratic_flux(), claw.bounded_smooth_sigma(0.3), 0.01,
                                   lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x), -1.0, 2.0)
     phi = claw.bump_test_function(TestFunction.one(16), -0.5, 1.5)
@@ -481,9 +512,6 @@ def test_pairing_integrands_keep_contiguous_components():
 def test_noise_layout_changes_no_bit_of_a_translation_march():
     # the transport and kinetic translation traces are the same, bit for bit,
     # when sigma's fn hands back an interleaved copy of its value
-    from dataclasses import replace
-
-    from stochlab import claw
 
     def interleaved(noise):
         def fn(u):
@@ -496,7 +524,7 @@ def test_noise_layout_changes_no_bit_of_a_translation_march():
     phi = claw.bump_test_function(TestFunction.one(grid.cells), -0.9, 1.9)
 
     def transport_of(layout):
-        return lambda n: still_problem(noise=layout(bounded_smooth_noise(0.3)), eps=1.0 / n)
+        return lambda n: still_problem(sigma=layout(bounded_smooth_noise(0.3)), eps=1.0 / n)
 
     def claw_of(layout):
         return lambda n: claw.KineticProblem(
