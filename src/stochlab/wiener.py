@@ -11,6 +11,15 @@ generate in parallel. A ReplicaBatch holds the draws of a contiguous range of
 replicas as arrays with a leading replica axis; ReplicaDraw is the
 one-replica view of the same numbers.
 
+A Philox stream is fully set by its key and its counter. The chunk draws
+(increment_chunk, initial_chunk) therefore derive the keys of their whole
+replica range at once (philox_keys: SeedSequence's hash arithmetic on uint32
+arrays) and reseat one Generator, which each call owns and never shares, to
+each replica's key with a zero counter. The per-replica route, a fresh
+SeedSequence, Philox and Generator per stream (stream_generator without a
+key), is what sample_wiener and ReplicaDraw use and stays the oracle the
+chunks are tested against.
+
 Coupled sequences W_n are built from two independent paths W and B as
 
     W_n = (W + a_n B) / sqrt(1 + a_n^2),
@@ -101,15 +110,99 @@ class WienerPath:
         return self.values[-1]
 
 
-def stream_generator(seed: int, replica: int, stream: int = STREAM_W) -> np.random.Generator:
-    """Counter-based generator for one (seed, replica, stream) cell."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, replica))
-    return np.random.Generator(np.random.Philox(ss))
+# NumPy's SeedSequence constants: hashmix multipliers for mixing the entropy
+# into the pool (A) and for generating state from it (B), and the mix weights.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFF_FFFF
+
+
+def _hashmix(value, h: int, mult: int):
+    """SeedSequence's hashmix of a uint32 word; returns it and the next multiplier."""
+    value = value ^ h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ (value >> 16), h
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words (Python ints or uint32 arrays)."""
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def philox_keys(seed: int, lo: int, hi: int, stream: int = STREAM_W) -> np.ndarray:
+    """Philox keys of the streams (seed, r, stream), r = lo..hi-1, shape (hi - lo, 2) uint64.
+
+    Row r - lo equals SeedSequence(entropy=seed, spawn_key=(stream, r))
+    .generate_state(2, np.uint64), the key Philox(SeedSequence(...)) takes.
+    For seed, stream and replicas below 2**32 the entropy is the six words
+    [seed, 0, 0, 0, stream, r] and SeedSequence's pool-of-4 arithmetic runs
+    word by word: on Python ints until r enters, then on uint32 arrays over
+    the whole range. Larger values span several words; they go through
+    SeedSequence itself.
+    """
+    if not (0 <= seed <= _MASK32 and 0 <= stream <= _MASK32 and 0 <= lo and hi <= _MASK32 + 1):
+        return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(stream, r))
+                         .generate_state(2, np.uint64) for r in range(lo, hi)],
+                        dtype=np.uint64).reshape(hi - lo, 2)
+    entropy = [seed, 0, 0, 0, stream, np.arange(lo, hi, dtype=np.uint32)]
+    h = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        word, h = _hashmix(word, h, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[4:]:
+        for dst in range(4):
+            word, h = _hashmix(extra, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    h = _INIT_B
+    state = []
+    for word in pool:
+        word, h = _hashmix(word, h, _MULT_B)
+        state.append(word.astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def stream_generator(seed: int, replica: int, stream: int = STREAM_W, *,
+                     key: list[int] | None = None,
+                     into: np.random.Generator | None = None) -> np.random.Generator:
+    """Counter-based generator for one (seed, replica, stream) cell.
+
+    Without `key`: a fresh Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(stream, replica)))), the per-replica route and the oracle of
+    the chunk draws. With `key`, that cell's row of philox_keys: `into`, a
+    Philox Generator the caller owns, is reseated to the start of the stream
+    (the key, a zero counter, an empty buffer, no cached uint32) and
+    returned; it then draws exactly what the fresh generator would.
+    """
+    if key is None:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, replica))
+        return np.random.Generator(np.random.Philox(ss))
+    into.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return into
 
 
 def initial_randomness(seed: int, replica: int) -> np.random.Generator:
     """Generator for F_0-measurable draws (omega_0 uniforms, initial normals)."""
     return stream_generator(seed, replica, STREAM_INITIAL)
+
+
+def _chunk_streams(seed: int, lo: int, hi: int, stream: int):
+    """(row, generator) for replicas lo..hi-1: one Generator, reseated per replica."""
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for i, key in enumerate(philox_keys(seed, lo, hi, stream).tolist()):
+        yield i, stream_generator(seed, lo + i, stream, key=key, into=gen)
 
 
 def sample_wiener(
@@ -130,13 +223,13 @@ def increment_chunk(
 ) -> np.ndarray:
     """Increments for replicas lo..hi-1, shape (hi - lo, N_t, k).
 
-    Row r - lo is bit-identical to sample_wiener(grid, k, seed, r, stream).increments.
+    Row r - lo is bit-identical to sample_wiener(grid, k, seed, r, stream).increments:
+    the same normals, each times sqrt(dt).
     """
     out = np.empty((hi - lo, grid.steps, k))
-    sqdt = np.sqrt(grid.dt)
-    for r in range(lo, hi):
-        gen = stream_generator(seed, r, stream)
-        out[r - lo] = gen.standard_normal((grid.steps, k)) * sqdt
+    for i, gen in _chunk_streams(seed, lo, hi, stream):
+        gen.standard_normal(out=out[i])
+    out *= np.sqrt(grid.dt)
     return out
 
 
@@ -148,10 +241,9 @@ def initial_chunk(seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """
     omega0 = np.empty(hi - lo)
     normals = np.empty((hi - lo, 4))
-    for r in range(lo, hi):
-        gen = initial_randomness(seed, r)
-        omega0[r - lo] = gen.uniform()
-        normals[r - lo] = gen.standard_normal(4)
+    for i, gen in _chunk_streams(seed, lo, hi, STREAM_INITIAL):
+        omega0[i] = gen.uniform()
+        gen.standard_normal(out=normals[i])
     return omega0, normals
 
 

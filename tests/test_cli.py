@@ -190,6 +190,15 @@ def test_seed_override_changes_values(tmp_path):
     assert a != c
 
 
+def test_seed_past_one_uint32_word_runs(tmp_path):
+    # seeds of 2**32 and above span several SeedSequence entropy words
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[l1mode]\nseed = {2**70}\nsamples = 200\ntime_steps = 32\n")
+    assert run(str(cfg), "l1mode", str(tmp_path / "o"), workers=1) == 0
+    rows = (tmp_path / "o" / "l1mode.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[8] == str(2**70) for row in rows)
+
+
 def test_full_run_all_is_byte_deterministic_across_worker_counts(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text(SMALL_CONFIG)

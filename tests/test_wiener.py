@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from stochlab.errors import ConfigurationError, GridMismatchError
-from stochlab.wiener import (CouplingSchedule, ReplicaBatch, ReplicaDraw, TimeGrid, WienerPath,
+from stochlab.wiener import (STREAM_B, STREAM_INITIAL, STREAM_W, CouplingSchedule,
+                             ReplicaBatch, ReplicaDraw, TimeGrid, WienerPath,
                              aggregate_increments, couple, increment_chunk,
-                             initial_chunk,
-                             sample_wiener, sup_distance)
+                             initial_chunk, philox_keys,
+                             sample_wiener, stream_generator, sup_distance)
 
 
 def test_grid_validation():
@@ -137,14 +138,58 @@ def test_schedule_validation():
 
 
 def test_chunked_draws_match_replica_draws():
+    # a chunk from 0, one from 3, a one-replica chunk; seed 2**70 takes the
+    # SeedSequence key route
     g = TimeGrid(1.0, 16)
-    omega0, normals = initial_chunk(seed=13, lo=3, hi=6)
-    dW = increment_chunk(g, 2, seed=13, lo=3, hi=6)
-    for i, r in enumerate(range(3, 6)):
-        draw = ReplicaDraw.sample(g, 2, seed=13, replica=r)
-        assert draw.omega0 == omega0[i]
-        assert np.array_equal(draw.normals, normals[i])
-        assert np.array_equal(draw.W.increments, dW[i])
+    for seed in (13, 2**70):
+        for k in (1, 2):
+            for lo, hi in ((0, 3), (3, 6), (5, 6)):
+                omega0, normals = initial_chunk(seed=seed, lo=lo, hi=hi)
+                dW = increment_chunk(g, k, seed=seed, lo=lo, hi=hi)
+                dB = increment_chunk(g, k, seed=seed, lo=lo, hi=hi, stream=STREAM_B)
+                assert dW.shape == dB.shape == (hi - lo, 16, k)
+                for i, r in enumerate(range(lo, hi)):
+                    draw = ReplicaDraw.sample(g, k, seed=seed, replica=r)
+                    assert draw.omega0 == omega0[i]
+                    assert np.array_equal(draw.normals, normals[i])
+                    assert np.array_equal(draw.W.increments, dW[i])
+                    assert np.array_equal(draw.B.increments, dB[i])
+
+
+def _seed_sequence_keys(seed, stream, replicas):
+    return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(stream, r))
+                     .generate_state(2, np.uint64) for r in replicas], dtype=np.uint64)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stream", [STREAM_W, STREAM_B, STREAM_INITIAL])
+@pytest.mark.parametrize("seed", [0, 1, 20240811, 2**32 - 1, 2**32, 2**70])
+def test_bulk_philox_keys_equal_seed_sequence_keys(seed, stream):
+    keys = philox_keys(seed, 0, 20_000, stream)
+    assert keys.dtype == np.uint64 and keys.shape == (20_000, 2)
+    assert np.array_equal(keys, _seed_sequence_keys(seed, stream, range(20_000)))
+    edge = 2**32
+    for lo, hi in ((edge - 3, edge), (edge - 3, edge + 4), (edge, edge + 4), (7, 7)):
+        assert np.array_equal(philox_keys(seed, lo, hi, stream).reshape(-1, 2),
+                              _seed_sequence_keys(seed, stream, range(lo, hi)).reshape(-1, 2))
+
+
+def test_reseated_generator_draws_what_a_fresh_one_draws():
+    seed, replica = 20240811, 41
+    gen = np.random.Generator(np.random.Philox(key=0))
+    gen.integers(0, 2**32, dtype=np.uint32)
+    gen.random(1)
+    state = gen.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] != 4
+    key = philox_keys(seed, replica, replica + 1, STREAM_W).tolist()[0]
+    assert stream_generator(seed, replica, STREAM_W, key=key, into=gen) is gen
+    fresh = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_W, replica))))
+    assert gen.uniform() == fresh.uniform()
+    assert np.array_equal(gen.standard_normal(4), fresh.standard_normal(4))
+    assert np.array_equal(gen.standard_normal(512), fresh.standard_normal(512))
+    assert np.array_equal(gen.integers(0, 2**32, size=3, dtype=np.uint32),
+                          fresh.integers(0, 2**32, size=3, dtype=np.uint32))
 
 
 def test_aggregate_increments_restricts_the_path():
