@@ -55,7 +55,9 @@ class FluxFamily:
     """Scalar flux with its derivative and exact monotone splitting.
 
     eo_plus(u) = F(0) + int_0^u max(F', 0), eo_minus(u) = int_0^u min(F', 0);
-    the interface flux is eo_plus(left) + eo_minus(right).
+    the interface flux is eo_plus(left) + eo_minus(right). So eo_plus is
+    nondecreasing and eo_minus nonincreasing; the Kruzkov entropy flux relies
+    on it, and KineticProblem checks it on its window (check_monotone_split).
     """
 
     F: Callable[[np.ndarray], np.ndarray]
@@ -72,6 +74,15 @@ class FluxFamily:
     def split_consistency(self, window: tuple[float, float]) -> float:
         xi = np.linspace(window[0], window[1], 513)
         return float(np.max(np.abs(self.eo_plus(xi) + self.eo_minus(xi) - self.F(xi))))
+
+    def check_monotone_split(self, window: tuple[float, float]):
+        """Raise unless eo_plus is nondecreasing and eo_minus nonincreasing on
+        split_consistency's grid."""
+        xi = np.linspace(window[0], window[1], 513)
+        if np.any(np.diff(self.eo_plus(xi)) < 0.0) or np.any(np.diff(self.eo_minus(xi)) > 0.0):
+            raise ConfigurationError(
+                "Engquist-Osher splitting not monotone: eo_plus must be nondecreasing "
+                "and eo_minus nonincreasing")
 
 
 def quadratic_flux(scale: float = 1.0, shift: float = 0.0) -> FluxFamily:
@@ -126,7 +137,7 @@ def constant_sigma(vector: np.ndarray) -> StateNoise:
     def fn(xi):
         out = np.empty((vec.size,) + np.shape(xi))
         out[...] = vec.reshape((-1,) + (1,) * np.ndim(xi))
-        return np.moveaxis(out, 0, -1)
+        return out.transpose(*range(1, out.ndim), 0)
 
     def dfn(xi):
         return np.zeros(np.shape(xi) + (vec.size,))
@@ -163,6 +174,7 @@ class KineticProblem:
             _check_derivative(self.sigma.fn, self.sigma.dfn, self.window, "sigma")
         if self.flux.split_consistency((self.xi_min, self.xi_max)) > 1e-10:
             raise ConfigurationError("Engquist-Osher splitting inconsistent with the flux")
+        self.flux.check_monotone_split(self.window)
 
     @property
     def k(self) -> int:
@@ -274,20 +286,33 @@ def kinetic_function(path_values: np.ndarray, problem: KineticProblem) -> Kineti
 # solver
 # ----------------------------------------------------------------------
 
-def _entropy_flux(flux: FluxFamily, kappa: float | np.ndarray, left: np.ndarray,
-                  right: np.ndarray, eo_kappa: tuple) -> np.ndarray:
+def _entropy_flux(flux: FluxFamily, left: np.ndarray, right: np.ndarray,
+                  eo_kappa: tuple, out: tuple) -> np.ndarray:
     """Numerical Kruzkov entropy flux: EO applied to u v kappa minus u ^ kappa.
 
-    kappa may be an array of levels that broadcasts against left and right;
-    eo_kappa is (flux.eo_plus(kappa), flux.eo_minus(kappa)), which a march
-    evaluates once. The EO parts are pointwise, so each is evaluated once on
-    the states, and u v kappa and u ^ kappa pick their values.
+    eo_kappa is (flux.eo_plus(kappa), flux.eo_minus(kappa)) at every level,
+    which a march evaluates once and passes as full level blocks of shape
+    (levels,) + left.shape: each operation below is one pass over the block,
+    with the state's values broadcast along the level axis. The EO parts are
+    pointwise, so each is evaluated once on the states. eo_plus is
+    nondecreasing and eo_minus nonincreasing (FluxFamily), so
+    eo_plus(u v kappa) = max(eo_plus(u), eo_plus(kappa)) and so on: the result
+    is (max P + min M) - (min P + max M) for P = eo_plus, M = eo_minus, the
+    grouping of the u v kappa / u ^ kappa selection it stands for, bit for bit.
+    (Where max or min meets two equal values it may return the other one; they
+    differ at most in the sign of a zero, and in every shipped family one of
+    eo_plus, eo_minus never gives -0.0, so no such sign reaches the result.)
+    out is three buffers of the block's shape: the result goes to the first,
+    and the other two are overwritten.
     """
-    left_above, right_above = left >= kappa, right >= kappa
     plus_k, minus_k = eo_kappa
     plus_u, minus_u = flux.eo_plus(left), flux.eo_minus(right)
-    return ((np.where(left_above, plus_u, plus_k) + np.where(right_above, minus_u, minus_k))
-            - (np.where(left_above, plus_k, plus_u) + np.where(right_above, minus_k, minus_u)))
+    h, a, b = out
+    h = np.maximum(plus_u, plus_k, out=h)
+    h += np.minimum(minus_u, minus_k, out=a)
+    a = np.minimum(plus_u, plus_k, out=a)
+    a += np.maximum(minus_u, minus_k, out=b)
+    return np.subtract(h, a, out=h)
 
 
 def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
@@ -304,6 +329,17 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
     (psi nodal values, fn) and produces traces t_j -> dx sum_i psi_i fn(u)_i;
     measure_pairing accumulates <psi zeta', m([0, t_j])> and the per-step
     total defect mass.
+
+    The Kruzkov bookkeeping runs level first: on blocks of shape
+    (levels,) + u.shape, so each operation over all levels is one contiguous
+    pass with the state broadcast along the level axis. A measuring march
+    builds the level blocks of kappa, eo_plus(kappa) and eo_minus(kappa) and
+    three work blocks once, and writes every step into them; a march that
+    measures nothing allocates none of them. The clipped deposits are written
+    once into a C-order (..., cells, levels) buffer: step_mass, the measure
+    pairing and the detailed cumulative deposits reduce that buffer in the
+    cells-then-levels operand order of a trailing level axis, so the sums keep
+    their bits.
     """
     dt, dx = tgrid.dt, grid.dx
     nt = tgrid.steps
@@ -326,35 +362,56 @@ def _march_claw(problem: KineticProblem, grid: TorusGrid, tgrid: TimeGrid,
         parab_cum = np.zeros((len(snap_idx), grid.cells, problem.n_xi))
     step_mass = np.zeros(lead + (nt,))
     clamped = 0.0
-    deposits = None
+    if measuring:
+        block = (problem.kappa_levels,) + np.shape(u0)
+
+        def level_block(values):
+            out = np.empty(block)
+            out[...] = values.reshape((-1,) + (1,) * np.ndim(u0))
+            return out
+
+        kappa_block = level_block(kappa)
+        eo_kappa = level_block(flux.eo_plus(kappa)), level_block(flux.eo_minus(kappa))
+        work = np.empty((3,) + block)
+        deposits = np.empty(lead + (grid.cells, problem.kappa_levels))
+        deposits_by_level = np.moveaxis(deposits, -1, 0)
     if measure_pairing is not None:
         psi_m, zeta_prime = measure_pairing
         zeta_kappa = zeta_prime(kappa)
         m_trace = np.zeros(lead + (nt + 1,))
     # step invariants; eps * dt * lap groups as (eps * dt) * lap
     dt_dx, visc, dx2 = dt / dx, eps * dt, dx ** 2
-    eo_kappa = flux.eo_plus(kappa), flux.eo_minus(kappa)
 
     def step(j, u):
-        nonlocal clamped, deposits
+        nonlocal clamped
         left = u
         right = periodic_shift(u, -1)
         f_iface = flux.interface(left, right)
         adv = (f_iface - periodic_shift(f_iface, 1)) * dt_dx
         u_adv = u - adv
         # Kruzkov bookkeeping on the flux sub-step: the level-kappa defect
-        # density is half the clipped residual of the discrete entropy balance,
-        # for all levels at once on a trailing axis
+        # density is half the clipped residual of the discrete entropy balance
         if measuring:
-            h_iface = _entropy_flux(flux, kappa, left[..., None], right[..., None], eo_kappa)
-            eta_balance = (np.abs(u[..., None] - kappa)
-                           - (h_iface - periodic_shift(h_iface, 1, axis=-2)) * dt_dx)
-            r = eta_balance - np.abs(u_adv[..., None] - kappa)
+            h, a, r = work
+            _entropy_flux(flux, left, right, eo_kappa, work)
+            # a = (h - h one cell to the left) dt/dx: one pass over the flat
+            # block, then the first cell of each row wraps around
+            np.subtract(h.reshape(-1)[1:], h.reshape(-1)[:-1], out=a.reshape(-1)[1:])
+            np.subtract(h[..., 0], h[..., -1], out=a[..., 0])
+            a *= dt_dx
+            # r = |u - kappa| - a - |u_adv - kappa|
+            np.subtract(u, kappa_block, out=r)
+            np.abs(r, out=r)
+            r -= a
+            np.subtract(u_adv, kappa_block, out=a)
+            np.abs(a, out=a)
+            r -= a
             if measure_detail:
-                for l in range(len(kappa)):
-                    clamped += float(np.sum(np.minimum(r[..., l], 0.0)))
-            # C order, as before: the step_mass and measure-pairing sums follow it
-            deposits = np.ascontiguousarray(np.maximum(r, 0.0) * (0.5 * dx * dkappa))
+                # one sum over the cells per level, added in level order
+                for level_sum in np.minimum(r, 0.0, out=a).sum(axis=-1):
+                    clamped += float(level_sum)
+            np.multiply(np.maximum(r, 0.0, out=r), 0.5 * dx * dkappa, out=r)
+            np.copyto(deposits_by_level, r)
         lap = (right - 2.0 * u + periodic_shift(u, 1)) / dx2
         u_new = u_adv + visc * lap
         if dW is not None and sigma is not None:

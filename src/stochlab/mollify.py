@@ -41,15 +41,14 @@ def bump(u: np.ndarray) -> np.ndarray:
 
 def bump_derivative(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
-    v = u[inside]
-    g = v * (1.0 - v)
-    # g * g underflows to 0 for g below about 1.5e-162, where exp(-1/g) is 0 too
-    with np.errstate(over="ignore"):
-        top, g2 = np.exp(-1.0 / g) * (1.0 - 2.0 * v), g * g
-    out[inside] = np.divide(top, g2, out=np.zeros_like(v), where=g2 > 0.0)
-    return out
+    # g is +0.0 outside (0, 1) and at NaN, as in bump; g * g also underflows
+    # to 0 for g below about 1.5e-162, where exp(-1/g) is 0 too: the
+    # derivative is +0.0 wherever g * g is 0
+    g = np.fmax(u * (1.0 - u), 0.0) + 0.0
+    g2 = g * g
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        top = np.exp(-1.0 / g) * (1.0 - 2.0 * u)
+        return np.divide(top, g2, out=np.zeros_like(u), where=g2 > 0.0)
 
 
 def _normalisation(resolution: int) -> float:

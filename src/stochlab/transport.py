@@ -78,8 +78,9 @@ class StateNoise:
 
     fn maps u of shape (...) to sigma(u) of shape (..., k) whose components
     sigma(u)[..., c] are each C-contiguous: a (k,) + u.shape array seen through
-    np.moveaxis, so every product with one component is a contiguous pass.
-    dfn gives d sigma/du, shape (..., k); lipschitz is the sup of |dfn|.
+    a transpose that moves its first axis last, so every product with one
+    component is a contiguous pass. dfn gives d sigma/du, shape (..., k);
+    lipschitz is the sup of |dfn|.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]   # (...,) -> (..., k)
@@ -104,7 +105,7 @@ def _smooth_noise(amplitude: float, frequency: float, tilt: float) -> StateNoise
         np.sin(fu + tilt if tilt else fu, out=out[0, ...])
         np.cos(fu, out=out[1, ...])
         out *= amplitude
-        return np.moveaxis(out, 0, -1)
+        return out.transpose(*range(1, out.ndim), 0)
 
     def dfn(u):
         fu = frequency * np.asarray(u, dtype=float)
@@ -272,7 +273,7 @@ def _explicit_march(problem, grid: TorusGrid, tgrid: TimeGrid, u0: np.ndarray,
     record(0, u, probes)
     for j in range(nt):
         u_new = step(j, u)
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise SolverBlowupError(j)
         if after_step is not None:
             after_step(j, u, u_new)

@@ -5,8 +5,9 @@ import pytest
 from test_transport import check_shared_draw, record_marches, small_blocks
 
 from stochlab import claw
-from stochlab.claw import (KineticProblem, KineticTestFunction,
-                           _march_claw, bounded_smooth_sigma, bump_test_function,
+from stochlab._util import periodic_shift
+from stochlab.claw import (FluxFamily, KineticProblem, KineticTestFunction,
+                           _entropy_flux, _march_claw, bounded_smooth_sigma, bump_test_function,
                            burgers_riemann, claw_translation_ensembles,
                            constant_sigma, cubic_flux, kinetic_function,
                            kinetic_residual, kinetic_stability_experiment,
@@ -15,8 +16,9 @@ from stochlab.claw import (KineticProblem, KineticTestFunction,
 from stochlab.errors import (CFLError, ConfigurationError, RangeEscapeError)
 from stochlab.processes import TestFunction
 from stochlab.translation import fit_translation_rate, standard_lag_ladder
-from stochlab.transport import (TorusGrid, TransportProblem, _initial_state, _march,
-                                _shared_draw, bounded_smooth_noise, steps_for_cfl)
+from stochlab.transport import (TorusGrid, TransportProblem, _explicit_march, _initial_state,
+                                _march, _noise_increment, _shared_draw, bounded_smooth_noise,
+                                steps_for_cfl)
 from stochlab.wiener import CouplingSchedule, TimeGrid, increment_chunk, sample_wiener
 
 GRID = TorusGrid(64)
@@ -355,3 +357,213 @@ def test_upwind_and_engquist_osher_marchers_agree_on_linear_transport():
     assert np.max(np.abs(a["energy"] - b["energy"])) <= 1e-10
     assert np.max(np.abs(a["traces"]["square"] - b["traces"]["square"])) <= 1e-10
     assert np.max(np.abs(a["final"] - u0)) > 0.05  # the noise moved the state
+
+
+# ----------------------------------------------------------------------
+# the level-first Kruzkov bookkeeping against its trailing-axis form
+# ----------------------------------------------------------------------
+
+def where_entropy_flux(flux, kappa, left, right, eo_kappa):
+    """The Kruzkov entropy flux by selection of u v kappa and u ^ kappa."""
+    left_above, right_above = left >= kappa, right >= kappa
+    plus_k, minus_k = eo_kappa
+    plus_u, minus_u = flux.eo_plus(left), flux.eo_minus(right)
+    return ((np.where(left_above, plus_u, plus_k) + np.where(right_above, minus_u, minus_k))
+            - (np.where(left_above, plus_k, plus_u) + np.where(right_above, minus_k, minus_u)))
+
+
+def trailing_axis_march(problem, grid, tgrid, u0, dW, snap_idx=None, measure_detail=False,
+                        pairings=None, measure_pairing=None):
+    """_march_claw with the Kruzkov levels on a trailing axis (..., cells, levels):
+    the np.where entropy flux, periodic_shift along the cells, a fresh C-order
+    deposit array per step and one sum per level for the clipped residual."""
+    dt, dx = tgrid.dt, grid.dx
+    flux, sigma, eps = problem.flux, problem.sigma, problem.epsilon
+    kappa, dkappa = problem.kappa, problem.kappa_width
+    xi_lo = problem.xi_min
+    edges = problem.xi_edges
+    lead = np.shape(u0)[:-1]
+    state = {"clamped": 0.0}
+    if measure_detail:
+        snap_pos = {int(j): s for s, j in enumerate(snap_idx)}
+        kappa_run = np.zeros((grid.cells, problem.kappa_levels))
+        parab_run = np.zeros((grid.cells, problem.n_xi))
+        kappa_cum = np.zeros((len(snap_idx), grid.cells, problem.kappa_levels))
+        parab_cum = np.zeros((len(snap_idx), grid.cells, problem.n_xi))
+    step_mass = np.zeros(lead + (tgrid.steps,))
+    if measure_pairing is not None:
+        psi_m, zeta_prime = measure_pairing
+        zeta_kappa = zeta_prime(kappa)
+        m_trace = np.zeros(lead + (tgrid.steps + 1,))
+    dt_dx, visc, dx2 = dt / dx, eps * dt, dx ** 2
+    eo_kappa = flux.eo_plus(kappa), flux.eo_minus(kappa)
+
+    def step(j, u):
+        left, right = u, periodic_shift(u, -1)
+        f_iface = flux.interface(left, right)
+        u_adv = u - (f_iface - periodic_shift(f_iface, 1)) * dt_dx
+        h = where_entropy_flux(flux, kappa, left[..., None], right[..., None], eo_kappa)
+        eta_balance = (np.abs(u[..., None] - kappa)
+                       - (h - periodic_shift(h, 1, axis=-2)) * dt_dx)
+        r = eta_balance - np.abs(u_adv[..., None] - kappa)
+        if measure_detail:
+            for l in range(len(kappa)):
+                state["clamped"] += float(np.sum(np.minimum(r[..., l], 0.0)))
+        state["deposits"] = np.ascontiguousarray(np.maximum(r, 0.0) * (0.5 * dx * dkappa))
+        u_new = u_adv + visc * ((right - 2.0 * u + periodic_shift(u, 1)) / dx2)
+        if dW is not None and sigma is not None:
+            u_new = u_new + _noise_increment(sigma(u), dW[..., j, :])
+        return u_new
+
+    def after_step(j, u, u_new):
+        deposits, parab = state["deposits"], None
+        if eps > 0.0:
+            grad = (periodic_shift(u, -1) - periodic_shift(u, 1)) / (2.0 * dx)
+            parab = eps * grad * grad * (dt * dx)
+        step_mass[..., j] = deposits.sum(axis=(-1, -2)) if lead else deposits.sum()
+        if parab is not None:
+            step_mass[..., j] += parab.sum(axis=-1) if lead else parab.sum()
+        if measure_detail:
+            kappa_run[...] += deposits
+            if parab is not None:
+                bins = np.clip(((u - xi_lo) / (edges[1] - edges[0])).astype(int),
+                               0, problem.n_xi - 1)
+                np.add.at(parab_run, (np.arange(grid.cells), bins), parab)
+            if (j + 1) in snap_pos:
+                kappa_cum[snap_pos[j + 1]] = kappa_run
+                parab_cum[snap_pos[j + 1]] = parab_run
+        if measure_pairing is not None:
+            m_trace[..., j + 1] = m_trace[..., j] + np.einsum(
+                "...xl,x,l->...", deposits, psi_m, zeta_kappa)
+            if parab is not None:
+                m_trace[..., j + 1] += np.einsum("...x,x,...x->...", parab, psi_m,
+                                                 zeta_prime(u))
+
+    out = _explicit_march(problem, grid, tgrid, u0, step, pairings, False, snap_idx, after_step)
+    out["step_mass"] = step_mass
+    if measure_detail:
+        out.update(kappa_cum=kappa_cum, parabolic_cum=parab_cum, clamped=state["clamped"])
+    if measure_pairing is not None:
+        out["m_trace"] = m_trace
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# the ladder's shifted quadratic member flux, linear fluxes of both signs, cubic
+ORACLE_FLUXES = {"shifted_quadratic": lambda: quadratic_flux(1.5, 0.25),
+                 "linear_positive": lambda: linear_flux(0.9),
+                 "linear_negative": lambda: linear_flux(-0.9),
+                 "cubic": lambda: cubic_flux(1.5)}
+
+
+def oracle_problem(name, eps, noisy, u0=None):
+    return KineticProblem(flux=ORACLE_FLUXES[name](),
+                          sigma=bounded_smooth_sigma(0.3) if noisy else None, epsilon=eps,
+                          u0=u0 or (lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x)),
+                          xi_min=-1.2, xi_max=2.2)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FLUXES))
+def test_level_first_march_equals_the_trailing_axis_bookkeeping(name):
+    # step_mass, the measure pairing and the Ito traces of _march_claw, bit for
+    # bit (uint64 views, so the sign of a zero counts), over lead shapes,
+    # viscosities and noise
+    grid, T = TorusGrid(16), 0.1
+    psi = 1.0 + 0.5 * np.sin(2 * np.pi * grid.x)
+    phi = bump_test_function(TestFunction.one(grid.cells), -0.9, 1.9)
+    rng = np.random.default_rng(11)
+    for eps in (0.0, 0.05):
+        for noisy in (False, True):
+            problem = oracle_problem(name, eps, noisy)
+            tgrid = TimeGrid(T, steps_for_cfl(problem, grid, T, multiple_of=16))
+            for lead in ((), (1,), (3,), (8,)):
+                u0 = (0.5 + 0.3 * np.sin(2 * np.pi * grid.x)
+                      + 0.2 * rng.uniform(-1.0, 1.0, lead + (grid.cells,)))
+                dW = (rng.standard_normal(lead + (tgrid.steps, problem.k)) * np.sqrt(tgrid.dt)
+                      if noisy else None)
+                pairings = {"ito": (psi, ito_pairing_fn(problem, phi))} if noisy else None
+                kwargs = dict(pairings=pairings, measure_pairing=(psi, phi.zeta_prime))
+                got = _march_claw(problem, grid, tgrid, u0, dW, **kwargs)
+                want = trailing_axis_march(problem, grid, tgrid, u0, dW, **kwargs)
+                assert same_bits(got["step_mass"], want["step_mass"])
+                assert same_bits(got["m_trace"], want["m_trace"])
+                assert np.count_nonzero(got["step_mass"]) > 0
+                if noisy:
+                    assert same_bits(got["traces"]["ito"], want["traces"]["ito"])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FLUXES))
+def test_level_first_measure_equals_the_trailing_axis_bookkeeping(name):
+    # solve_claw's kinetic measure: the cumulative deposits and the clipped
+    # total, whose per-level sums are added in level order
+    grid, T = TorusGrid(16), 0.1
+    clamped = []
+    for eps in (0.0, 0.05):
+        for noisy in (False, True):
+            problem = oracle_problem(name, eps, noisy, u0=burgers_riemann((1.0, 0.0)))
+            tgrid = TimeGrid(T, steps_for_cfl(problem, grid, T, multiple_of=16))
+            W = sample_wiener(tgrid, problem.k, seed=12, replica=0)
+            _, measure = solve_claw(problem, W, grid)
+            u0 = np.asarray(problem.u0(grid.x), dtype=float) * np.ones(grid.cells)
+            want = trailing_axis_march(problem, grid, tgrid, u0,
+                                       W.increments if noisy else None,
+                                       snap_idx=measure.snap_idx, measure_detail=True)
+            assert same_bits(measure.kappa_cum, want["kappa_cum"])
+            assert same_bits(measure.parabolic_cum, want["parabolic_cum"])
+            assert same_bits(measure.step_mass, want["step_mass"])
+            assert same_bits(measure.clamped_negative, want["clamped"])
+            clamped.append(measure.clamped_negative)
+    assert any(c != 0.0 for c in clamped)
+
+
+SHIPPED_FLUXES = [quadratic_flux(), quadratic_flux(1.3, 0.4), quadratic_flux(1.5, 0.25),
+                  linear_flux(0.8), linear_flux(0.9), linear_flux(-0.8), linear_flux(0.0),
+                  cubic_flux(0.6), cubic_flux(1.5)]
+
+
+@pytest.mark.parametrize("flux", SHIPPED_FLUXES)
+@pytest.mark.parametrize("window", [(-1.2, 2.2), (-2.0, 2.0), (-8.5, 8.5)])
+def test_max_min_entropy_flux_equals_the_selection_form(flux, window):
+    # on a dense grid holding every level and both zeros, the level-first
+    # max/min form gives the bits of the np.where selection; (-8.5, 8.5) puts
+    # a level at exactly +0.0
+    levels = 17
+    kappa = window[0] + (np.arange(levels) + 0.5) * ((window[1] - window[0]) / levels)
+    u = np.concatenate([np.linspace(window[0], window[1], 1001), kappa, [0.0, -0.0]])
+    left = np.concatenate([u, u, u[::-1]])
+    right = np.concatenate([u, np.roll(u, 7), u])
+    want = where_entropy_flux(flux, kappa, left[:, None], right[:, None],
+                              (flux.eo_plus(kappa), flux.eo_minus(kappa)))
+    blocks = [np.broadcast_to(v[:, None], (levels, left.size))
+              for v in (flux.eo_plus(kappa), flux.eo_minus(kappa))]
+    out = tuple(np.full((levels, left.size), np.nan) for _ in range(3))
+    assert _entropy_flux(flux, left, right, tuple(blocks), out) is out[0]
+    assert same_bits(out[0].T, want)
+
+
+def test_non_monotone_splitting_is_a_configuration_error():
+    # both splittings sum to the flux, so only the monotonicity check can catch them
+    def burgers(u):
+        return 0.5 * u * u
+
+    def zeros(u):
+        return np.zeros_like(np.asarray(u, dtype=float))
+
+    def kinetic(flux):
+        return KineticProblem(flux=flux, sigma=None, epsilon=0.0,
+                              u0=lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x),
+                              xi_min=-1.2, xi_max=2.2)
+
+    decreasing_plus = FluxFamily(burgers, lambda u: u, burgers, zeros)
+    with pytest.raises(ConfigurationError, match="not monotone"):
+        kinetic(decreasing_plus)
+    increasing_minus = FluxFamily(lambda u: 0.8 * u, lambda u: np.full_like(u, 0.8), zeros,
+                                  lambda u: 0.8 * u)
+    with pytest.raises(ConfigurationError, match="not monotone"):
+        kinetic(increasing_minus)
+    for flux in SHIPPED_FLUXES:
+        kinetic(flux)

@@ -206,6 +206,35 @@ def test_bump_equals_the_masked_definition_bit_for_bit():
         assert not np.any(np.signbit(bump(u)))
 
 
+def masked_bump_derivative(u):
+    """bump_derivative evaluated on the points of (0, 1) only, +0.0 elsewhere."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = (u > 0.0) & (u < 1.0)
+    v = u[inside]
+    g = v * (1.0 - v)
+    with np.errstate(over="ignore"):
+        top, g2 = np.exp(-1.0 / g) * (1.0 - 2.0 * v), g * g
+    out[inside] = np.divide(top, g2, out=np.zeros_like(v), where=g2 > 0.0)
+    return out
+
+
+def test_bump_derivative_equals_the_masked_definition_bit_for_bit():
+    # NaN, the infinities, both zeros, the edges of (0, 1) from inside, a
+    # point where g * g underflows and the smallest subnormal; each alone (0-d)
+    # and all in one array, compared as bit patterns, with no warning
+    edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -53,
+             1e-170, 5e-324, -5e-324, 0.5, 0.25, 1.5, -1.0]
+    rng = np.random.default_rng(4)
+    u = np.concatenate([edges, rng.uniform(-0.5, 1.5, 200), np.full(40, -0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in [*edges, u, u.reshape(5, -1)]:
+            got = bump_derivative(x)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+            assert np.array_equal(got.view(np.uint64), masked_bump_derivative(x).view(np.uint64))
+
+
 def test_bump_derivative_is_zero_where_the_exponential_underflows():
     # exp(-1/g) * (1 - 2u) / g^2 is 0 / 0 once g * g underflows (u below about
     # 1.5e-162): the derivative gives +0.0 there, with no warning, and keeps
